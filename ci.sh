@@ -34,6 +34,20 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> results/ byte-identity"
+# Every experiment binary regenerates its results/*.tsv from seeded
+# inputs, so a kernel rewrite that changes any output bit shows up as a
+# diff against the committed tables (wall times go to stdout only).
+for bin in table1 failure ablation_cos ablation_deadline ablation_score \
+    ablation_search lifecycle fig3 fig6 fig7 fig8; do
+    env -u ROPUS_RESULTS cargo run --release -q -p ropus-bench --bin "$bin" > /dev/null
+done
+git diff --exit-code --stat -- results/ \
+    || { echo "results/ differs from the committed tables"; exit 1; }
+UNTRACKED="$(git ls-files --others --exclude-standard -- results/)"
+test -z "$UNTRACKED" \
+    || { echo "results/ gained untracked files: $UNTRACKED"; exit 1; }
+
 echo "==> chaos replay smoke"
 cargo run --release -q -p ropus --example chaos_replay > /dev/null
 

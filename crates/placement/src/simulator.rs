@@ -151,10 +151,13 @@ impl AggregateLoad {
     /// the canonical member list.
     fn rematerialize(&mut self) {
         self.totals.clear();
-        if let Some(cos1) = self.tree.root_cos1() {
-            self.totals.extend_from_slice(cos1);
-        }
         if let Some(cos2) = self.tree.root_cos2() {
+            match self.tree.root_cos1() {
+                Some(cos1) => self.totals.extend_from_slice(cos1),
+                // Every member's CoS1 is bitwise +0.0, so the CoS1 root
+                // would be +0.0 at every slot: add the CoS2 root to that.
+                None => self.totals.resize(cos2.len(), 0.0),
+            }
             kernels::add_assign(&mut self.totals, cos2);
         }
         // Memory is not time-shareable, so only its aggregate peak matters.
@@ -313,13 +316,6 @@ impl AggregateLoad {
         self.totals.is_empty()
     }
 
-    /// Total aggregate allocation at a slot.
-    fn total(&self, index: usize) -> f64 {
-        // lint:allow(panic-slice-index): the materialized totals cover
-        // exactly `0..len()` and callers iterate that range.
-        self.totals[index]
-    }
-
     /// The materialized per-slot total allocation trace.
     pub(crate) fn totals(&self) -> &[f64] {
         &self.totals
@@ -366,57 +362,155 @@ pub struct FitReport {
 ///
 /// Slots with no demand in any day count as fully satisfied.
 pub fn access_probability(load: &AggregateLoad, capacity: f64) -> f64 {
-    let per_day = load.calendar.slots_per_day();
-    let per_week = load.calendar.slots_per_week();
-    let weeks = load.len() / per_week;
-    let mut theta: f64 = 1.0;
-    for w in 0..weeks {
-        for t in 0..per_day {
-            let mut satisfied = 0.0;
-            let mut requested = 0.0;
-            for day in 0..7 {
-                let idx = w * per_week + day * per_day + t;
-                let a = load.total(idx);
-                satisfied += a.min(capacity);
-                requested += a;
-            }
-            if requested > 0.0 {
-                theta = theta.min(satisfied / requested);
-            }
-        }
-    }
-    theta
+    ExceedanceIndex::new(load).theta(capacity, f64::NEG_INFINITY)
 }
 
 /// Checks that every unit of demand unsatisfied on request is served
 /// within `deadline_slots` slots, using surplus capacity in later slots
 /// (oldest shortfall first).
 pub fn deadline_satisfied(load: &AggregateLoad, capacity: f64, deadline_slots: usize) -> bool {
-    let mut backlog: VecDeque<(usize, f64)> = VecDeque::new();
-    for (slot, &total) in load.totals().iter().enumerate() {
-        if total > capacity {
-            backlog.push_back((slot, total - capacity));
-        } else {
-            let mut surplus = capacity - total;
-            while surplus > EPSILON {
-                let Some(front) = backlog.front_mut() else {
-                    break;
-                };
-                let served = front.1.min(surplus);
-                front.1 -= served;
-                surplus -= served;
-                if front.1 <= EPSILON {
-                    backlog.pop_front();
+    ExceedanceIndex::new(load).deadline_met(capacity, deadline_slots)
+}
+
+/// Slots per block of the deadline replay's skip index.
+const BLOCK: usize = 32;
+
+/// A per-search summary of an aggregate's totals that lets every capacity
+/// probe skip the slots whose outcome is already known (DESIGN.md §5a).
+///
+/// Built once per [`FitRequest::required_capacity`] (and per one-shot
+/// query) rather than stored in the [`AggregateLoad`], so long-lived
+/// aggregates do not grow. A "group" is one (week, slot-of-day) pair — the
+/// seven same-time slots one `θ` ratio is taken over.
+struct ExceedanceIndex<'a> {
+    totals: &'a [f64],
+    per_day: usize,
+    per_week: usize,
+    /// Each group's maximum over its seven days, week-major.
+    group_max: Vec<f64>,
+    /// Each group's `Σ_days A`, accumulated in day order from `0.0` — the
+    /// same additions, in the same order, as the `θ` denominator.
+    group_requested: Vec<f64>,
+    /// The maximum total of each `BLOCK`-slot block (the last may be short).
+    block_max: Vec<f64>,
+}
+
+impl<'a> ExceedanceIndex<'a> {
+    /// Indexes `load`'s totals in one day-major pass (plus the block
+    /// maxima). Trailing partial weeks are ignored, as `θ` ignores them.
+    fn new(load: &'a AggregateLoad) -> Self {
+        let totals = load.totals();
+        let per_day = load.calendar.slots_per_day();
+        let per_week = load.calendar.slots_per_week();
+        let groups = totals.len() / per_week * per_day;
+        let mut group_max = vec![0.0; groups];
+        let mut group_requested = vec![0.0; groups];
+        for ((max, requested), week) in group_max
+            .chunks_exact_mut(per_day)
+            .zip(group_requested.chunks_exact_mut(per_day))
+            .zip(totals.chunks_exact(per_week))
+        {
+            for day in week.chunks_exact(per_day) {
+                for ((m, r), &a) in max.iter_mut().zip(requested.iter_mut()).zip(day) {
+                    *m = f64::max(*m, a);
+                    *r += a;
                 }
             }
         }
-        if let Some(&(arrival, _)) = backlog.front() {
-            if slot >= arrival + deadline_slots {
-                return false;
-            }
+        let block_max = totals
+            .chunks(BLOCK)
+            .map(|block| block.iter().copied().fold(0.0, f64::max))
+            .collect();
+        ExceedanceIndex {
+            totals,
+            per_day,
+            per_week,
+            group_max,
+            group_requested,
+            block_max,
         }
     }
-    backlog.is_empty()
+
+    /// The measured `θ` at `capacity`, returning early (with the minimum
+    /// so far) once `θ + ε` drops below `give_up_below` — from then on a
+    /// commitment of `give_up_below` has failed whatever the rest holds.
+    ///
+    /// Only groups whose maximum exceeds the capacity are visited. In any
+    /// other group every `min(a, L)` is `a` itself, so `Σ min(a, L)` repeats
+    /// the denominator's additions bit for bit and the ratio is exactly 1.0
+    /// — which cannot lower a minimum that starts at 1.0.
+    fn theta(&self, capacity: f64, give_up_below: f64) -> f64 {
+        let mut theta: f64 = 1.0;
+        let groups = self
+            .group_max
+            .chunks_exact(self.per_day)
+            .zip(self.group_requested.chunks_exact(self.per_day))
+            .zip(self.totals.chunks_exact(self.per_week));
+        for ((max, requested), week) in groups {
+            for (t, (&m, &requested)) in max.iter().zip(requested).enumerate() {
+                if m <= capacity || requested <= 0.0 {
+                    continue;
+                }
+                let satisfied = week
+                    .iter()
+                    .skip(t)
+                    .step_by(self.per_day)
+                    .fold(0.0, |sum, &a| sum + a.min(capacity));
+                theta = theta.min(satisfied / requested);
+                if theta + EPSILON < give_up_below {
+                    return theta;
+                }
+            }
+        }
+        theta
+    }
+
+    /// Whether carried-over demand meets the deadline at `capacity`.
+    ///
+    /// While the backlog is empty, a slot at or below capacity changes
+    /// nothing (its surplus has no one to serve), so whole blocks whose
+    /// maximum is at or below capacity are jumped over.
+    fn deadline_met(&self, capacity: f64, deadline_slots: usize) -> bool {
+        let mut backlog: VecDeque<(usize, f64)> = VecDeque::new();
+        let mut slot = 0;
+        loop {
+            if backlog.is_empty() && slot % BLOCK == 0 {
+                let quiet = self
+                    .block_max
+                    .iter()
+                    .skip(slot / BLOCK)
+                    .take_while(|&&m| m <= capacity)
+                    .count();
+                slot += quiet * BLOCK;
+            }
+            let Some(&total) = self.totals.get(slot) else {
+                break;
+            };
+            if total > capacity {
+                backlog.push_back((slot, total - capacity));
+            } else {
+                let mut surplus = capacity - total;
+                while surplus > EPSILON {
+                    let Some(front) = backlog.front_mut() else {
+                        break;
+                    };
+                    let served = front.1.min(surplus);
+                    front.1 -= served;
+                    surplus -= served;
+                    if front.1 <= EPSILON {
+                        backlog.pop_front();
+                    }
+                }
+            }
+            if let Some(&(arrival, _)) = backlog.front() {
+                if slot >= arrival + deadline_slots {
+                    return false;
+                }
+            }
+            slot += 1;
+        }
+        backlog.is_empty()
+    }
 }
 
 /// Options of a fit evaluation: the optional memory attribute and the
@@ -507,32 +601,49 @@ impl<'a> FitRequest<'a> {
     /// probability `θ`, carry-over deadline); memory, when constrained by
     /// the options, is a pass/fail attribute checked first.
     pub fn evaluate(&self, capacity: f64) -> FitReport {
+        self.check(&ExceedanceIndex::new(self.load), capacity, true)
+    }
+
+    /// The fit test behind [`evaluate`](Self::evaluate) and every
+    /// [`required_capacity`](Self::required_capacity) probe.
+    ///
+    /// A probe (`full_report` false) stops at the first failed constraint:
+    /// `fits` and `violation` are exactly the full report's, while a
+    /// failed probe's `measured_theta` is only an upper bound and its
+    /// `deadline_met` is not computed.
+    fn check(&self, index: &ExceedanceIndex<'_>, capacity: f64, full_report: bool) -> FitReport {
         let load = self.load;
         let cos1_peak_sum = load.cos1_peak_sum();
+        let failed = |violation| FitReport {
+            fits: false,
+            violation: Some(violation),
+            cos1_peak_sum,
+            measured_theta: 0.0,
+            deadline_met: false,
+        };
         if load.memory_peak() > self.options.memory_capacity() + EPSILON {
-            return FitReport {
-                fits: false,
-                violation: Some(FitViolation::MemoryOverflow),
-                cos1_peak_sum,
-                measured_theta: 0.0,
-                deadline_met: false,
-            };
+            return failed(FitViolation::MemoryOverflow);
         }
         if cos1_peak_sum > capacity + EPSILON {
-            return FitReport {
-                fits: false,
-                violation: Some(FitViolation::Cos1Overflow),
-                cos1_peak_sum,
-                measured_theta: 0.0,
-                deadline_met: false,
-            };
+            return failed(FitViolation::Cos1Overflow);
         }
-        let measured_theta = access_probability(load, capacity);
-        let deadline_slots = load
-            .calendar()
-            .slots_in_minutes(self.commitments.cos2.deadline_minutes());
-        let deadline_met = deadline_satisfied(load, capacity, deadline_slots);
-        let theta_ok = measured_theta + EPSILON >= self.commitments.cos2.theta();
+        let committed_theta = self.commitments.cos2.theta();
+        let give_up_below = if full_report {
+            f64::NEG_INFINITY
+        } else {
+            committed_theta
+        };
+        let measured_theta = index.theta(capacity, give_up_below);
+        // A probe's θ stops at the first ratio that misses the commitment;
+        // θ is a minimum, so the full one would miss it too and `theta_ok`
+        // is exact either way.
+        let theta_ok = measured_theta + EPSILON >= committed_theta;
+        let deadline_met = (full_report || theta_ok) && {
+            let deadline_slots = load
+                .calendar()
+                .slots_in_minutes(self.commitments.cos2.deadline_minutes());
+            index.deadline_met(capacity, deadline_slots)
+        };
         let violation = if !theta_ok {
             Some(FitViolation::ThetaShortfall)
         } else if !deadline_met {
@@ -556,7 +667,8 @@ impl<'a> FitRequest<'a> {
     /// "commitments cannot be satisfied" outcome of Fig. 4.
     ///
     /// All three constraints are monotone in capacity, which is what makes
-    /// the binary search sound.
+    /// the binary search sound. The load is indexed once per search, and
+    /// each probe visits only the slots above its candidate capacity.
     ///
     /// # Panics
     ///
@@ -566,17 +678,19 @@ impl<'a> FitRequest<'a> {
         let tolerance = self.options.tolerance();
         assert!(tolerance > 0.0, "tolerance must be positive");
         assert!(limit > 0.0, "capacity limit must be positive");
-        if !self.evaluate(limit).fits {
+        let index = ExceedanceIndex::new(self.load);
+        let fits = |capacity: f64| self.check(&index, capacity, false).fits;
+        if !fits(limit) {
             return None;
         }
         let mut hi = limit;
         let mut lo = 0.0f64;
-        if self.evaluate(lo.max(EPSILON)).fits {
+        if fits(lo.max(EPSILON)) {
             return Some(0.0);
         }
         while hi - lo > tolerance {
             let mid = 0.5 * (hi + lo);
-            if self.evaluate(mid).fits {
+            if fits(mid) {
                 hi = mid;
             } else {
                 lo = mid;
@@ -589,6 +703,8 @@ impl<'a> FitRequest<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use ropus_qos::CosSpec;
     use ropus_trace::Trace;
 
@@ -878,8 +994,8 @@ mod tests {
         load.add(&removed).unwrap();
         assert_eq!(load, cold);
         // Bitwise, not just PartialEq: the slot sums carry no residue.
-        for i in 0..load.len() {
-            assert_eq!(load.total(i).to_bits(), cold.total(i).to_bits());
+        for (a, b) in load.totals().iter().zip(cold.totals()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(
             load.cos1_peak_sum().to_bits(),
@@ -949,8 +1065,8 @@ mod tests {
             .collect();
         let cold = AggregateLoad::of(&cold_members).unwrap();
         assert_eq!(load, cold);
-        for i in 0..load.len() {
-            assert_eq!(load.total(i).to_bits(), cold.total(i).to_bits());
+        for (a, b) in load.totals().iter().zip(cold.totals()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(
             load.cos1_peak_sum().to_bits(),
@@ -996,5 +1112,293 @@ mod tests {
             AggregateLoad::of(&[]),
             Err(PlacementError::NoWorkloads)
         ));
+    }
+
+    // The scalar θ / deadline / bisection loops the exceedance index
+    // replaced, kept verbatim as the oracle the index must match bit for
+    // bit: every slot of every group, every slot of the deadline replay,
+    // every constraint of every probe.
+
+    fn oracle_access_probability(load: &AggregateLoad, capacity: f64) -> f64 {
+        let per_day = load.calendar.slots_per_day();
+        let per_week = load.calendar.slots_per_week();
+        let weeks = load.len() / per_week;
+        let mut theta: f64 = 1.0;
+        for w in 0..weeks {
+            for t in 0..per_day {
+                let mut satisfied = 0.0;
+                let mut requested = 0.0;
+                for day in 0..7 {
+                    let a = load.totals()[w * per_week + day * per_day + t];
+                    satisfied += a.min(capacity);
+                    requested += a;
+                }
+                if requested > 0.0 {
+                    theta = theta.min(satisfied / requested);
+                }
+            }
+        }
+        theta
+    }
+
+    fn oracle_deadline_satisfied(
+        load: &AggregateLoad,
+        capacity: f64,
+        deadline_slots: usize,
+    ) -> bool {
+        let mut backlog: VecDeque<(usize, f64)> = VecDeque::new();
+        for (slot, &total) in load.totals().iter().enumerate() {
+            if total > capacity {
+                backlog.push_back((slot, total - capacity));
+            } else {
+                let mut surplus = capacity - total;
+                while surplus > EPSILON {
+                    let Some(front) = backlog.front_mut() else {
+                        break;
+                    };
+                    let served = front.1.min(surplus);
+                    front.1 -= served;
+                    surplus -= served;
+                    if front.1 <= EPSILON {
+                        backlog.pop_front();
+                    }
+                }
+            }
+            if let Some(&(arrival, _)) = backlog.front() {
+                if slot >= arrival + deadline_slots {
+                    return false;
+                }
+            }
+        }
+        backlog.is_empty()
+    }
+
+    fn oracle_evaluate(
+        load: &AggregateLoad,
+        commitments: &PoolCommitments,
+        options: FitOptions,
+        capacity: f64,
+    ) -> FitReport {
+        let cos1_peak_sum = load.cos1_peak_sum();
+        if load.memory_peak() > options.memory_capacity() + EPSILON {
+            return FitReport {
+                fits: false,
+                violation: Some(FitViolation::MemoryOverflow),
+                cos1_peak_sum,
+                measured_theta: 0.0,
+                deadline_met: false,
+            };
+        }
+        if cos1_peak_sum > capacity + EPSILON {
+            return FitReport {
+                fits: false,
+                violation: Some(FitViolation::Cos1Overflow),
+                cos1_peak_sum,
+                measured_theta: 0.0,
+                deadline_met: false,
+            };
+        }
+        let measured_theta = oracle_access_probability(load, capacity);
+        let deadline_slots = load
+            .calendar()
+            .slots_in_minutes(commitments.cos2.deadline_minutes());
+        let deadline_met = oracle_deadline_satisfied(load, capacity, deadline_slots);
+        let theta_ok = measured_theta + EPSILON >= commitments.cos2.theta();
+        let violation = if !theta_ok {
+            Some(FitViolation::ThetaShortfall)
+        } else if !deadline_met {
+            Some(FitViolation::DeadlineMissed)
+        } else {
+            None
+        };
+        FitReport {
+            fits: violation.is_none(),
+            violation,
+            cos1_peak_sum,
+            measured_theta,
+            deadline_met,
+        }
+    }
+
+    fn oracle_required_capacity(
+        load: &AggregateLoad,
+        commitments: &PoolCommitments,
+        options: FitOptions,
+        limit: f64,
+    ) -> Option<f64> {
+        let tolerance = options.tolerance();
+        let fits = |capacity| oracle_evaluate(load, commitments, options, capacity).fits;
+        if !fits(limit) {
+            return None;
+        }
+        let mut hi = limit;
+        let mut lo = 0.0f64;
+        if fits(lo.max(EPSILON)) {
+            return Some(0.0);
+        }
+        while hi - lo > tolerance {
+            let mid = 0.5 * (hi + lo);
+            if fits(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(hi)
+    }
+
+    /// A report with its floats as bits, so `-0.0`/`+0.0` and NaN
+    /// payloads count as differences.
+    fn report_bits(r: &FitReport) -> (bool, Option<FitViolation>, u64, u64, bool) {
+        (
+            r.fits,
+            r.violation,
+            r.cos1_peak_sum.to_bits(),
+            r.measured_theta.to_bits(),
+            r.deadline_met,
+        )
+    }
+
+    /// Hourly slots: 24-slot days and 168-slot weeks, so every load ends
+    /// in a short (8-slot) skip block.
+    fn hourly() -> Calendar {
+        Calendar::new(60).unwrap()
+    }
+
+    /// A random aggregate of `members` workloads over `weeks` weeks.
+    ///
+    /// Demand moves between a quiet and a busy regime (bursts long enough
+    /// to build a multi-slot backlog) and mixes zeros, a plateau at 3.0,
+    /// half-unit steps and arbitrary floats. The first member's CoS1 is
+    /// zero, the others carry a small CoS1 share on some draws.
+    fn random_load(rng: &mut TestRng, weeks: usize, members: usize) -> AggregateLoad {
+        let len = hourly().slots_per_week() * weeks;
+        let mut busy = false;
+        let workloads: Vec<Workload> = (0..members)
+            .map(|m| {
+                let with_cos1 = m > 0 && rng.next_below(2) == 0;
+                let mut cos1 = Vec::with_capacity(len);
+                let mut cos2 = Vec::with_capacity(len);
+                for _ in 0..len {
+                    if rng.next_below(8) == 0 {
+                        busy = !busy;
+                    }
+                    let demand = match rng.next_below(5) {
+                        0 => 0.0,
+                        1 => 3.0,
+                        2 => rng.next_below(12) as f64 * 0.5,
+                        _ => rng.next_f64() * 4.0,
+                    } + if busy { 4.0 } else { 0.0 };
+                    let share = if with_cos1 { 0.1 * rng.next_f64() } else { 0.0 };
+                    cos1.push(demand * share);
+                    cos2.push(demand - demand * share);
+                }
+                Workload::new(
+                    format!("w{m}"),
+                    Trace::from_samples(hourly(), cos1).unwrap(),
+                    Trace::from_samples(hourly(), cos2).unwrap(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let refs: Vec<&Workload> = workloads.iter().collect();
+        AggregateLoad::of(&refs).unwrap()
+    }
+
+    /// Capacities that sit exactly on the index's thresholds — a group
+    /// maximum, a block maximum, a plateau value shared by many slots —
+    /// plus zero, the search's floor, a random level and the peaks.
+    fn probe_capacities(load: &AggregateLoad, rng: &mut TestRng) -> Vec<f64> {
+        let index = ExceedanceIndex::new(load);
+        let mut pick = |values: &[f64]| values[rng.next_below(values.len() as u64) as usize];
+        let mut capacities = vec![
+            0.0,
+            EPSILON,
+            3.0,
+            pick(&index.group_max),
+            pick(&index.group_max),
+            pick(&index.block_max),
+            pick(&index.block_max),
+            pick(load.totals()),
+            load.total_peak(),
+            load.total_peak() + 1.0,
+        ];
+        capacities.push(rng.next_f64() * load.total_peak());
+        capacities
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn indexed_kernel_is_bit_identical_to_the_scalar_oracle(
+            seed in 0u64..u64::MAX,
+            weeks in 1usize..=3,
+            members in 1usize..=4,
+            theta in 0.3f64..=1.0,
+        ) {
+            let mut rng = TestRng::from_seed(seed);
+            let load = random_load(&mut rng, weeks, members);
+            for capacity in probe_capacities(&load, &mut rng) {
+                prop_assert_eq!(
+                    access_probability(&load, capacity).to_bits(),
+                    oracle_access_probability(&load, capacity).to_bits(),
+                    "θ at {}", capacity
+                );
+                for deadline in [0, 1, 12] {
+                    prop_assert_eq!(
+                        deadline_satisfied(&load, capacity, deadline),
+                        oracle_deadline_satisfied(&load, capacity, deadline),
+                        "deadline {} at {}", deadline, capacity
+                    );
+                }
+                // Deadlines of 0, 1 and 12 hourly slots.
+                for minutes in [0, 60, 720] {
+                    let commitments = PoolCommitments::new(CosSpec::new(theta, minutes).unwrap());
+                    prop_assert_eq!(
+                        report_bits(&FitRequest::new(&load, &commitments).evaluate(capacity)),
+                        report_bits(&oracle_evaluate(&load, &commitments, FitOptions::new(), capacity)),
+                        "report at {} with {} min", capacity, minutes
+                    );
+                }
+            }
+            for minutes in [0, 60, 720] {
+                let commitments = PoolCommitments::new(CosSpec::new(theta, minutes).unwrap());
+                let options = FitOptions::new().with_tolerance(0.01);
+                let limit = load.total_peak() + 1.0;
+                let indexed = FitRequest::new(&load, &commitments)
+                    .with_options(options)
+                    .required_capacity(limit);
+                let oracle = oracle_required_capacity(&load, &commitments, options, limit);
+                prop_assert_eq!(indexed.map(f64::to_bits), oracle.map(f64::to_bits));
+            }
+        }
+
+        #[test]
+        fn fitting_is_monotone_in_capacity(
+            seed in 0u64..u64::MAX,
+            weeks in 1usize..=2,
+            theta in 0.3f64..=1.0,
+            minutes in 0u32..=720,
+        ) {
+            // The bisection's soundness claim: more capacity never turns a
+            // fit into a misfit.
+            let mut rng = TestRng::from_seed(seed);
+            let members = 1 + rng.next_below(3) as usize;
+            let load = random_load(&mut rng, weeks, members);
+            let commitments = PoolCommitments::new(CosSpec::new(theta, minutes).unwrap());
+            let request = FitRequest::new(&load, &commitments);
+            let mut capacities = probe_capacities(&load, &mut rng);
+            let top = load.total_peak() + 1.0;
+            capacities.extend((0..16).map(|_| rng.next_f64() * top));
+            capacities.sort_by(f64::total_cmp);
+            let fits: Vec<bool> = capacities.iter().map(|&c| request.evaluate(c).fits).collect();
+            for (pair, caps) in fits.windows(2).zip(capacities.windows(2)) {
+                prop_assert!(
+                    !pair[0] || pair[1],
+                    "fits at {} but not at {}", caps[0], caps[1]
+                );
+            }
+        }
     }
 }

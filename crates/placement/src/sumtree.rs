@@ -31,6 +31,16 @@
 //! Node sum buffers are recycled through a [`SlotArena`], so steady-state
 //! mutation — and the `FitEngine`'s transient per-candidate aggregates —
 //! reuse warm allocations instead of hitting the allocator.
+//!
+//! When every member's CoS1 trace is bitwise `+0.0` (every app translated
+//! with breakpoint `p = 0`), the CoS1 sums are skipped altogether: each
+//! one would be exactly `+0.0` per slot, so [`SumTree::root_cos1`] reports
+//! `None` and the owner adds the CoS2 root to `+0.0` itself. Sets with any
+//! other member — including `-0.0` samples — keep the full CoS1 sums.
+//! Inserting such a member into a skipping tree materializes them; a
+//! removal never drops them, which is still exact (a full CoS1 sum of
+//! `+0.0` members is itself `+0.0` per slot) until the owner's next cold
+//! rebuild re-derives the mode from the set.
 
 use ropus_trace::kernels;
 
@@ -103,6 +113,7 @@ fn combine_parts<const N: usize>(out: &mut Vec<f64>, parts: [Option<&[f64]>; N])
 /// (a leaf's "sums" are simply its workload's own trace slices).
 #[derive(Debug, Clone)]
 struct NodeSums {
+    /// Left empty while the tree skips CoS1 (see the module docs).
     cos1: Vec<f64>,
     cos2: Vec<f64>,
     /// `Some` iff some member of the subtree carries a memory trace.
@@ -135,6 +146,9 @@ pub(crate) struct SumTree {
     /// ones, which dominates cost at fleet scale — and the first mutation
     /// densifies the interior via [`SumTree::densify`].
     dense: bool,
+    /// Whether every member's CoS1 is bitwise `+0.0`, so no CoS1 sums are
+    /// kept (see the module docs).
+    cos1_zero: bool,
 }
 
 impl SumTree {
@@ -146,6 +160,7 @@ impl SumTree {
             free: Vec::new(),
             spare: SlotArena::new(),
             dense: true,
+            cos1_zero: true,
         }
     }
 
@@ -164,6 +179,7 @@ impl SumTree {
             free: Vec::new(),
             spare: std::mem::take(arena),
             dense: members.len() <= 1,
+            cos1_zero: members.iter().all(Workload::cos1_is_zero),
         };
         // Cartesian-tree construction along the rightmost spine: members
         // arrive in ascending key order, so each new node displaces the
@@ -242,20 +258,22 @@ impl SumTree {
             let left_sums = left.and_then(|l| contrib[l as usize].take());
             let right_sums = right.and_then(|r| contrib[r as usize].take());
             let mut cos1 = self.spare.take();
-            combine_parts(
-                &mut cos1,
-                [
-                    left.map(|l| match &left_sums {
-                        Some(s) => &s.cos1[..],
-                        None => self.nodes[l as usize].workload.cos1().samples(),
-                    }),
-                    Some(self.nodes[idx as usize].workload.cos1().samples()),
-                    right.map(|r| match &right_sums {
-                        Some(s) => &s.cos1[..],
-                        None => self.nodes[r as usize].workload.cos1().samples(),
-                    }),
-                ],
-            );
+            if !self.cos1_zero {
+                combine_parts(
+                    &mut cos1,
+                    [
+                        left.map(|l| match &left_sums {
+                            Some(s) => &s.cos1[..],
+                            None => self.nodes[l as usize].workload.cos1().samples(),
+                        }),
+                        Some(self.nodes[idx as usize].workload.cos1().samples()),
+                        right.map(|r| match &right_sums {
+                            Some(s) => &s.cos1[..],
+                            None => self.nodes[r as usize].workload.cos1().samples(),
+                        }),
+                    ],
+                );
+            }
             let mut cos2 = self.spare.take();
             combine_parts(
                 &mut cos2,
@@ -337,6 +355,12 @@ impl SumTree {
 
     /// Inserts one workload (unique names assumed; see the module docs).
     pub(crate) fn insert(&mut self, workload: Workload) {
+        if self.cos1_zero && !workload.cos1_is_zero() {
+            // The set gains CoS1 load: materialize every CoS1 sum through
+            // the dense recompute, exactly as a cold build of it would.
+            self.cos1_zero = false;
+            self.dense = false;
+        }
         self.densify();
         let idx = self.new_node(workload);
         self.root = Some(self.insert_at(self.root, idx));
@@ -364,8 +388,13 @@ impl SumTree {
         Some(self.nodes[removed as usize].workload.clone())
     }
 
-    /// Slot-wise CoS1 sum of the whole set (`None` for an empty tree).
+    /// Slot-wise CoS1 sum of the whole set; `None` for an empty tree and
+    /// while every member's CoS1 is bitwise `+0.0` (the sum would be
+    /// `+0.0` at every slot).
     pub(crate) fn root_cos1(&self) -> Option<&[f64]> {
+        if self.cos1_zero {
+            return None;
+        }
         self.root.map(|r| self.subtree_cos1(r))
     }
 
@@ -557,14 +586,16 @@ impl SumTree {
             return; // leaf: its sums are its own trace slices
         }
         let mut cos1 = self.spare.take();
-        combine_parts(
-            &mut cos1,
-            [
-                left.map(|c| self.subtree_cos1(c)),
-                Some(self.nodes[idx as usize].workload.cos1().samples()),
-                right.map(|c| self.subtree_cos1(c)),
-            ],
-        );
+        if !self.cos1_zero {
+            combine_parts(
+                &mut cos1,
+                [
+                    left.map(|c| self.subtree_cos1(c)),
+                    Some(self.nodes[idx as usize].workload.cos1().samples()),
+                    right.map(|c| self.subtree_cos1(c)),
+                ],
+            );
+        }
         let mut cos2 = self.spare.take();
         combine_parts(
             &mut cos2,
@@ -619,6 +650,9 @@ impl SumTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::AggregateLoad;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use ropus_trace::{Calendar, Trace};
 
     fn wl(name: &str, base: f64) -> Workload {
@@ -748,5 +782,94 @@ mod tests {
         let tree = SumTree::build(&members, &mut arena);
         tree.recycle_into(&mut arena);
         assert_eq!(arena.pooled(), before);
+    }
+
+    /// The totals the aggregate computed before the zero-CoS1 fast path:
+    /// every CoS1 sum materialized, the CoS2 root added onto the CoS1 root.
+    fn tree_path_totals(members: &[Workload]) -> Vec<f64> {
+        let mut tree = SumTree::build(&sorted_members(members.to_vec()), &mut SlotArena::new());
+        tree.cos1_zero = false;
+        tree.dense = false;
+        tree.densify();
+        let mut totals = tree.root_cos1().unwrap().to_vec();
+        kernels::add_assign(&mut totals, tree.root_cos2().unwrap());
+        totals
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A one-week hourly workload whose CoS1 is all `+0.0` (`kind` 0),
+    /// `+0.0` with scattered `-0.0` samples (1), or small and non-zero (2).
+    /// CoS2 mixes both zero signs with arbitrary floats, so a wrong zero
+    /// sign on either side would show in the totals.
+    fn signed_zero_workload(rng: &mut TestRng, name: &str, kind: u64) -> Workload {
+        let calendar = Calendar::new(60).unwrap();
+        let len = calendar.slots_per_week();
+        let cos1: Vec<f64> = (0..len)
+            .map(|_| match (kind, rng.next_below(4)) {
+                (1, 0) => -0.0,
+                (2, _) => 0.5 * rng.next_f64(),
+                _ => 0.0,
+            })
+            .collect();
+        let cos2: Vec<f64> = (0..len)
+            .map(|_| match rng.next_below(4) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => 8.0 * rng.next_f64(),
+            })
+            .collect();
+        Workload::new(
+            name,
+            Trace::from_samples(calendar, cos1).unwrap(),
+            Trace::from_samples(calendar, cos2).unwrap(),
+        )
+        .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn zero_cos1_totals_are_bit_identical_to_the_tree_path(
+            seed in 0u64..u64::MAX,
+            members in 1usize..=6,
+            mixed in 0u64..3,
+        ) {
+            let mut rng = TestRng::from_seed(seed);
+            // `mixed` 0: every member all-zero; otherwise one in three
+            // members is drawn from the `-0.0` / non-zero kinds.
+            let pool: Vec<Workload> = (0..members + 2)
+                .map(|i| {
+                    let kind = if mixed == 0 || rng.next_below(3) > 0 {
+                        0
+                    } else {
+                        mixed
+                    };
+                    signed_zero_workload(&mut rng, &format!("m{i}"), kind)
+                })
+                .collect();
+            for w in &pool {
+                let zero = w.cos1().iter().all(|a| a.to_bits() == 0);
+                prop_assert_eq!(w.cos1_is_zero(), zero);
+            }
+            let set: Vec<&Workload> = pool.iter().take(members).collect();
+            let cold = AggregateLoad::of(&set).unwrap();
+            let owned: Vec<Workload> = set.iter().map(|w| (*w).clone()).collect();
+            prop_assert_eq!(bits(cold.totals()), bits(&tree_path_totals(&owned)));
+
+            // Incremental histories cross the mode boundary both ways.
+            let mut load = cold;
+            for w in pool.iter().skip(members) {
+                load.add(w).unwrap();
+                prop_assert_eq!(bits(load.totals()), bits(&tree_path_totals(load.members())));
+            }
+            for w in pool.iter().take(members) {
+                load.remove(w.name()).unwrap();
+                prop_assert_eq!(bits(load.totals()), bits(&tree_path_totals(load.members())));
+            }
+        }
     }
 }

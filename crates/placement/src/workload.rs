@@ -10,7 +10,8 @@ use crate::PlacementError;
 
 /// One application workload's allocation requirements, split across the
 /// pool's two classes of service by the QoS translation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "RawWorkload")]
 pub struct Workload {
     name: String,
     cos1: Trace,
@@ -19,6 +20,63 @@ pub struct Workload {
     total_peak: f64,
     #[serde(default)]
     memory: Option<Trace>,
+    /// Whether every CoS1 sample is bitwise `+0.0` — the aggregate's
+    /// zero-CoS1 fast path (DESIGN.md §5h). Derived from `cos1`, so it is
+    /// neither serialized nor compared.
+    #[serde(skip_serializing_if = "is_derived")]
+    cos1_zero: bool,
+}
+
+/// `skip_serializing_if` predicate for derived state: never on the wire.
+fn is_derived(_: &bool) -> bool {
+    true
+}
+
+/// Whether every sample is bitwise `+0.0`. Stops at the first sample that
+/// is not, so only all-zero traces pay a full scan.
+fn all_positive_zero(trace: &Trace) -> bool {
+    trace.iter().all(|a| a.to_bits() == 0)
+}
+
+/// The serialized form: the derived zero-CoS1 flag is recomputed from the
+/// samples on load instead of being trusted from (or written to) the wire.
+#[derive(Deserialize)]
+struct RawWorkload {
+    name: String,
+    cos1: Trace,
+    cos2: Trace,
+    cos1_peak: f64,
+    total_peak: f64,
+    #[serde(default)]
+    memory: Option<Trace>,
+}
+
+impl From<RawWorkload> for Workload {
+    fn from(raw: RawWorkload) -> Self {
+        let cos1_zero = all_positive_zero(&raw.cos1);
+        Workload {
+            name: raw.name,
+            cos1: raw.cos1,
+            cos2: raw.cos2,
+            cos1_peak: raw.cos1_peak,
+            total_peak: raw.total_peak,
+            memory: raw.memory,
+            cos1_zero,
+        }
+    }
+}
+
+/// Equality of the serialized fields; the derived zero-CoS1 flag does not
+/// participate (trace equality treats `-0.0 == +0.0`, the flag does not).
+impl PartialEq for Workload {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.cos1 == other.cos1
+            && self.cos2 == other.cos2
+            && self.cos1_peak == other.cos1_peak
+            && self.total_peak == other.total_peak
+            && self.memory == other.memory
+    }
 }
 
 impl Workload {
@@ -35,6 +93,7 @@ impl Workload {
             });
         }
         let cos1_peak = cos1.peak();
+        let cos1_zero = all_positive_zero(&cos1);
         let total_peak = cos1
             .iter()
             .zip(cos2.iter())
@@ -47,6 +106,7 @@ impl Workload {
             cos1_peak,
             total_peak,
             memory: None,
+            cos1_zero,
         })
     }
 
@@ -123,6 +183,14 @@ impl Workload {
     /// guaranteed-class constraint (sum of peaks <= capacity).
     pub fn cos1_peak(&self) -> f64 {
         self.cos1_peak
+    }
+
+    /// Whether every CoS1 sample is bitwise `+0.0` (true for every app
+    /// whose translation breakpoint is `p = 0`). A set of such workloads
+    /// has a CoS1 sum of exactly `+0.0` per slot, which the aggregate
+    /// skips computing.
+    pub(crate) fn cos1_is_zero(&self) -> bool {
+        self.cos1_zero
     }
 
     /// Peak of the total (CoS1 + CoS2) allocation — the workload's
@@ -247,6 +315,25 @@ mod tests {
             Err(TraceError::Misaligned { .. })
         ));
         assert_eq!(wl("c", 1.0, 1.0, 4).memory_peak(), 0.0);
+    }
+
+    #[test]
+    fn zero_cos1_flag_is_derived_and_stays_off_the_wire() {
+        let zero = wl("z", 0.0, 2.0, 4);
+        assert!(zero.cos1_is_zero());
+        assert!(!wl("c", 0.5, 2.0, 4).cos1_is_zero());
+        let negative_zero = Workload::new(
+            "n",
+            Trace::from_samples(cal(), vec![0.0, -0.0]).unwrap(),
+            Trace::constant(cal(), 1.0, 2).unwrap(),
+        )
+        .unwrap();
+        assert!(!negative_zero.cos1_is_zero());
+        let json = serde_json::to_string(&zero).unwrap();
+        assert!(!json.contains("cos1_zero"), "{json}");
+        let back: Workload = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, zero);
+        assert!(back.cos1_is_zero());
     }
 
     #[test]
