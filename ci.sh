@@ -16,12 +16,11 @@ cargo run -q -p xtask -- lint --self-check
 
 echo "==> xtask lint"
 # Exit 2 means rule violations, exit 1 means the analyzer itself broke;
-# both fail CI but are reported distinctly. The JSON and SARIF reports
-# are left under target/lint/ as artifacts for editors and code hosts.
+# both fail CI but are reported distinctly. The JSON report is left
+# under target/lint/ as an artifact for editors.
 mkdir -p target/lint
 LINT_STATUS=0
 cargo run -q -p xtask -- lint --format json > target/lint/lint.json || LINT_STATUS=$?
-cargo run -q -p xtask -- lint --format sarif > target/lint/lint.sarif || true
 case "$LINT_STATUS" in
     0) ;;
     2) echo "xtask lint: rule violations (see target/lint/lint.json)"; exit 2 ;;
@@ -33,6 +32,11 @@ cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test -q --workspace
+
+echo "==> perfbench build + tests"
+# The benchmark is its own workspace over the library crates; building
+# and testing it here makes a library refactor that breaks it fail now.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> results/ byte-identity"
 # Every experiment binary regenerates its results/*.tsv from seeded

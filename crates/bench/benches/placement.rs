@@ -133,7 +133,7 @@ fn bench_cache(c: &mut Criterion) {
                 0.1,
             );
             for set in &member_sets {
-                black_box(engine.server_required(set));
+                black_box(engine.server_required(0, set));
             }
         })
     });
@@ -144,12 +144,12 @@ fn bench_cache(c: &mut Criterion) {
         0.1,
     );
     for set in &member_sets {
-        warm.server_required(set);
+        warm.server_required(0, set);
     }
     group.bench_function("warm", |b| {
         b.iter(|| {
             for set in &member_sets {
-                black_box(warm.server_required(set));
+                black_box(warm.server_required(0, set));
             }
         })
     });

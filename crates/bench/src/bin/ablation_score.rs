@@ -70,7 +70,7 @@ fn main() {
                 if members.is_empty() {
                     None
                 } else {
-                    evaluator.server_required(&members)
+                    evaluator.server_required(srv, &members)
                 }
             })
             .sum();

@@ -57,7 +57,7 @@ fn main() {
                     .map(|(i, _)| i as u16)
                     .collect();
                 evaluator
-                    .server_required(&members)
+                    .server_required(srv, &members)
                     .expect("feasible server fits")
             })
             .sum();

@@ -395,13 +395,6 @@ impl FrameworkBuilder {
         self
     }
 
-    /// Bounds the placement engine's fit cache (0 = unbounded, the
-    /// default).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.options = self.options.with_cache_capacity(capacity);
-        self
-    }
-
     /// Sets which applications relax to failure-mode QoS after a failure
     /// (default [`FailureScope::AffectedOnly`], the paper's §VI-C rule).
     pub fn failure_scope(mut self, scope: FailureScope) -> Self {

@@ -60,12 +60,6 @@ impl ConsolidationOptions {
         self
     }
 
-    /// Bounds the engine's fit cache (0 = unbounded).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.ga = self.ga.with_cache_capacity(capacity);
-        self
-    }
-
     /// Sets the hard cap on GA generations.
     pub fn with_max_generations(mut self, max_generations: usize) -> Self {
         self.ga = self.ga.with_max_generations(max_generations);
@@ -192,7 +186,6 @@ impl Consolidator {
             self.options.ga.capacity_tolerance,
         )
         .with_threads(self.options.ga.threads)
-        .with_cache_capacity(self.options.ga.cache_capacity)
     }
 
     /// Consolidates the workloads onto as few servers as the search finds,
@@ -347,6 +340,23 @@ mod tests {
                 .unwrap()
             })
             .collect()
+    }
+
+    #[test]
+    fn more_workloads_than_the_engine_indexes_is_an_error() {
+        // Clones share one sample buffer, so 65,536 of them stay cheap.
+        let fleet = vec![constant_fleet(&[1.0]).remove(0); u16::MAX as usize + 1];
+        let consolidator = Consolidator::new(
+            ServerSpec::sixteen_way(),
+            commitments(1.0),
+            ConsolidationOptions::fast(0),
+        );
+        assert_eq!(
+            consolidator
+                .consolidate(&fleet, ObsCtx::none())
+                .unwrap_err(),
+            PlacementError::TooManyWorkloads { count: 65_536 }
+        );
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! The unified, thread-safe fit-evaluation engine.
 //!
 //! [`FitEngine`] is the one entry point for per-server fit evaluations: it
-//! owns the workload set, the server type, the pool commitments, and the
-//! binary-search tolerance, and memoizes required-capacity results behind
-//! a cache keyed by the *sorted set of workload indices* assigned to a
-//! server. GA populations revisit the same server compositions constantly
-//! across generations and restarts, so the cache converts the dominant
-//! cost of consolidation into hash lookups.
+//! owns the workload set, the pool's server specs, the pool commitments,
+//! and the binary-search tolerance, and memoizes required-capacity results
+//! behind one cache per *server class* (a distinct [`ServerSpec`]), keyed
+//! by the *sorted set of workload indices* assigned to a server. GA
+//! populations revisit the same server compositions constantly across
+//! generations and restarts, so the cache converts the dominant cost of
+//! consolidation into hash lookups. A homogeneous pool is one class that
+//! every server index maps to; a mixed pool ([`FitEngine::for_servers`])
+//! maps each server to the class of its spec, so identical servers share
+//! cache entries and each server is fitted and scored (`Z`) by its own spec.
 //!
-//! The engine is `Sync`: the cache is a [`Mutex`]ed map and the hit/miss
-//! counters are atomics, so whole populations can be scored concurrently
+//! The engine is `Sync`: each class cache is a [`Mutex`]ed map and the
+//! hit/miss counters are atomics, so whole populations can be scored concurrently
 //! on a scoped worker pool ([`FitEngine::score_assignments`]) with no
 //! `unsafe` and no new dependency. Parallel scoring is *bit-identical* to
 //! the serial path: each evaluation is a pure function of the member set,
@@ -26,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use ropus_qos::PoolCommitments;
 
-use crate::score::{assignment_feasible, assignment_score_with, ScoreModel, ServerOutcome};
+use crate::score::{assignment_feasible, ScoreModel, ServerOutcome};
 use crate::server::ServerSpec;
 use crate::simulator::{AggregateLoad, FitOptions, FitRequest};
 use crate::sumtree::SlotArena;
@@ -90,36 +94,41 @@ impl EngineStats {
     }
 }
 
+// lint:allow(det-unordered-collection): lookup-only cache, never iterated.
+/// One server class's memo: sorted member set → required capacity.
+type FitCache = Mutex<HashMap<Vec<u16>, Option<f64>>>;
+
 /// Memoizing, optionally parallel per-server fit engine shared by the GA,
 /// the greedy baselines, and the consolidation reports.
 ///
-/// Construct with [`FitEngine::new`], then tune with the consuming
-/// builders [`with_threads`](Self::with_threads),
-/// [`with_cache_capacity`](Self::with_cache_capacity), and
+/// Construct with [`FitEngine::new`] (a homogeneous pool) or
+/// [`FitEngine::for_servers`] (an explicit, possibly mixed server list),
+/// then tune with the consuming builders
+/// [`with_threads`](Self::with_threads) and
 /// [`with_score_model`](Self::with_score_model).
 #[derive(Debug)]
 pub struct FitEngine<'a> {
     workloads: &'a [Workload],
-    server: ServerSpec,
+    /// One entry per server class (distinct spec): the spec and its memo
+    /// cache. A homogeneous engine has one class.
+    classes: Vec<(ServerSpec, FitCache)>,
+    /// Class of each server of an explicit pool list. Empty for a
+    /// homogeneous engine, whose every server index maps to class 0.
+    server_class: Vec<usize>,
     commitments: PoolCommitments,
     tolerance: f64,
     score_model: ScoreModel,
     threads: usize,
-    /// Maximum cached entries; 0 means unbounded. When full, new results
-    /// are computed but not inserted (the cache is never invalidated).
-    cache_capacity: usize,
-    // lint:allow(det-unordered-collection): lookup-only cache, never
-    // iterated; results are pure functions of the (sorted) key.
-    cache: Mutex<HashMap<Vec<u16>, Option<f64>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl<'a> FitEngine<'a> {
-    /// Creates an engine over a fixed workload set and server type.
+    /// Creates an engine over a fixed workload set and a homogeneous pool
+    /// of `server`s, of any size.
     ///
-    /// Defaults: serial evaluation (one thread), unbounded cache, the
-    /// paper's `f(U) = U^(2Z)` score model.
+    /// Defaults: serial evaluation (one thread), the paper's
+    /// `f(U) = U^(2Z)` score model.
     ///
     /// # Panics
     ///
@@ -131,19 +140,60 @@ impl<'a> FitEngine<'a> {
         commitments: PoolCommitments,
         tolerance: f64,
     ) -> Self {
+        Self::with_classes(workloads, vec![server], Vec::new(), commitments, tolerance)
+    }
+
+    /// Creates an engine over an explicit pool: server `i` has spec
+    /// `servers[i]`. Identical specs form one class and share cache
+    /// entries, so a uniform list behaves exactly like [`FitEngine::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `servers` is empty, more than `u16::MAX` workloads are
+    /// supplied, or the tolerance is not positive.
+    pub fn for_servers(
+        workloads: &'a [Workload],
+        servers: &[ServerSpec],
+        commitments: PoolCommitments,
+        tolerance: f64,
+    ) -> Self {
+        assert!(!servers.is_empty(), "pool has no servers");
+        let mut classes: Vec<ServerSpec> = Vec::new();
+        let server_class = servers
+            .iter()
+            .map(|&spec| match classes.iter().position(|&c| c == spec) {
+                Some(class) => class,
+                None => {
+                    classes.push(spec);
+                    classes.len() - 1
+                }
+            })
+            .collect();
+        Self::with_classes(workloads, classes, server_class, commitments, tolerance)
+    }
+
+    fn with_classes(
+        workloads: &'a [Workload],
+        classes: Vec<ServerSpec>,
+        server_class: Vec<usize>,
+        commitments: PoolCommitments,
+        tolerance: f64,
+    ) -> Self {
         assert!(workloads.len() <= u16::MAX as usize, "too many workloads");
         assert!(tolerance > 0.0, "tolerance must be positive");
         FitEngine {
             workloads,
-            server,
+            classes: classes
+                .into_iter()
+                // lint:allow(det-unordered-collection): lookup-only caches,
+                // never iterated.
+                .map(|spec| (spec, Mutex::new(HashMap::new())))
+                .collect(),
+            server_class,
             commitments,
             tolerance,
             score_model: ScoreModel::PowerTwoZ,
             threads: 1,
-            cache_capacity: 0,
-            // lint:allow(det-unordered-collection): see the field note —
-            // the cache is never iterated.
-            cache: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -163,14 +213,6 @@ impl<'a> FitEngine<'a> {
         self
     }
 
-    /// Bounds the memo cache to `capacity` entries; 0 (the default) means
-    /// unbounded. A full cache computes without inserting — entries are
-    /// never evicted or invalidated.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
     /// The utilization-value model in force.
     pub fn score_model(&self) -> ScoreModel {
         self.score_model
@@ -181,9 +223,28 @@ impl<'a> FitEngine<'a> {
         self.workloads
     }
 
-    /// The server type.
-    pub fn server(&self) -> ServerSpec {
-        self.server
+    /// The spec of server `server`: its class's spec, so every index of a
+    /// homogeneous engine answers with the one server type.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `server` is outside an explicit pool list.
+    pub fn server(&self, server: usize) -> ServerSpec {
+        self.class(server).0
+    }
+
+    /// The class (spec and memo cache) of server `server`.
+    fn class(&self, server: usize) -> &(ServerSpec, FitCache) {
+        let class = if self.server_class.is_empty() {
+            0
+        } else {
+            // lint:allow(panic-slice-index): an index outside the pool
+            // list is a caller bug, not a recoverable state.
+            self.server_class[server]
+        };
+        // lint:allow(panic-slice-index): class ids are built together with
+        // `classes` at construction and always index it.
+        &self.classes[class]
     }
 
     /// The pool commitments.
@@ -218,17 +279,18 @@ impl<'a> FitEngine<'a> {
         }
     }
 
-    /// Required capacity for a set of workload indices on one server, or
-    /// `None` when they do not fit at the server's limit. Results are
-    /// memoized by the (sorted) member set — sound because the workloads'
-    /// sample buffers are immutable after construction (DESIGN.md §5c),
-    /// so a member set identifies its traces for the engine's lifetime.
+    /// Required capacity for a set of workload indices on server `server`,
+    /// or `None` when they do not fit at that server's limit. Results are
+    /// memoized by (server class, sorted member set) — sound because the
+    /// workloads' sample buffers are immutable after construction
+    /// (DESIGN.md §5c), so a member set identifies its traces for the
+    /// engine's lifetime.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range.
-    pub fn server_required(&self, members: &[u16]) -> Option<f64> {
-        self.server_required_scratch(members, &mut FitScratch::new())
+    pub fn server_required(&self, server: usize, members: &[u16]) -> Option<f64> {
+        self.server_required_scratch(server, members, &mut FitScratch::new())
     }
 
     /// [`server_required`](Self::server_required) with caller-provided
@@ -237,14 +299,15 @@ impl<'a> FitEngine<'a> {
     /// loop holding one scratch evaluates allocation-free after warm-up.
     pub fn server_required_scratch(
         &self,
+        server: usize,
         members: &[u16],
         scratch: &mut FitScratch,
     ) -> Option<f64> {
+        let (spec, cache) = self.class(server);
         scratch.key.clear();
         scratch.key.extend_from_slice(members);
         scratch.key.sort_unstable();
-        if let Some(hit) = self
-            .cache
+        if let Some(hit) = cache
             .lock()
             // lint:allow(panic-expect): a poisoned mutex means a scoring
             // worker already panicked; propagating is the only sound move.
@@ -269,29 +332,30 @@ impl<'a> FitEngine<'a> {
         let result = FitRequest::new(&load, &self.commitments)
             .with_options(
                 FitOptions::new()
-                    .with_memory_capacity(self.server.memory_gb())
+                    .with_memory_capacity(spec.memory_gb())
                     .with_tolerance(self.tolerance),
             )
-            .required_capacity(self.server.capacity());
+            .required_capacity(spec.capacity());
         load.recycle(&mut scratch.arena);
-        // lint:allow(panic-expect): see the lock note above.
-        let mut cache = self.cache.lock().expect("fit cache poisoned");
-        if self.cache_capacity == 0 || cache.len() < self.cache_capacity {
-            cache.insert(scratch.key.clone(), result);
-        }
+        cache
+            .lock()
+            // lint:allow(panic-expect): see the lock note above.
+            .expect("fit cache poisoned")
+            .insert(scratch.key.clone(), result);
         result
     }
 
-    /// Required capacities for many member sets, evaluated on the worker
-    /// pool when the engine has more than one thread. Results are in input
-    /// order regardless of scheduling.
-    pub fn required_many(&self, sets: &[Vec<u16>]) -> Vec<Option<f64>> {
+    /// Required capacities for many member sets on server `server`,
+    /// evaluated on the worker pool when the engine has more than one
+    /// thread. Results are in input order regardless of scheduling.
+    pub fn required_many(&self, server: usize, sets: &[Vec<u16>]) -> Vec<Option<f64>> {
         parallel_map_init(self.threads, sets, FitScratch::new, |scratch, set| {
-            self.server_required_scratch(set, scratch)
+            self.server_required_scratch(server, set, scratch)
         })
     }
 
-    /// Per-server outcomes of an assignment over `servers` servers.
+    /// Per-server outcomes of an assignment over `servers` servers, each
+    /// fitted against its own spec's capacity and memory.
     ///
     /// # Panics
     ///
@@ -331,14 +395,15 @@ impl<'a> FitEngine<'a> {
         let outcomes = members
             .iter()
             .take(servers)
-            .map(|set| {
+            .enumerate()
+            .map(|(srv, set)| {
                 if set.is_empty() {
                     return ServerOutcome::Unused;
                 }
-                match self.server_required_scratch(set, scratch) {
+                match self.server_required_scratch(srv, set, scratch) {
                     Some(required) => ServerOutcome::Fits {
                         required,
-                        utilization: required / self.server.capacity(),
+                        utilization: required / self.server(srv).capacity(),
                     },
                     None => ServerOutcome::Overbooked {
                         workloads: set.len(),
@@ -350,7 +415,8 @@ impl<'a> FitEngine<'a> {
         outcomes
     }
 
-    /// Score and feasibility of an assignment.
+    /// Score and feasibility of an assignment; each used server scores
+    /// `f(U)` with its own spec's `Z`, summed in server order.
     pub fn evaluate(&self, assignment: &[usize], servers: usize) -> (f64, bool) {
         self.evaluate_scratch(assignment, servers, &mut FitScratch::new())
     }
@@ -363,10 +429,12 @@ impl<'a> FitEngine<'a> {
         scratch: &mut FitScratch,
     ) -> (f64, bool) {
         let outcomes = self.outcomes_scratch(assignment, servers, scratch);
-        (
-            assignment_score_with(&outcomes, self.score_model, self.server.cpus()),
-            assignment_feasible(&outcomes),
-        )
+        let score = outcomes
+            .iter()
+            .enumerate()
+            .map(|(srv, o)| o.value_with(self.score_model, self.server(srv).cpus()))
+            .sum();
+        (score, assignment_feasible(&outcomes))
     }
 
     /// Scores a whole population, fanning out over the worker pool when
@@ -499,8 +567,8 @@ mod tests {
     fn caches_by_member_set_and_counts_hits() {
         let fleet = constant_fleet(&[2.0, 3.0]);
         let engine = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05);
-        let r1 = engine.server_required(&[0, 1]).unwrap();
-        let r2 = engine.server_required(&[1, 0]).unwrap();
+        let r1 = engine.server_required(0, &[0, 1]).unwrap();
+        let r2 = engine.server_required(0, &[1, 0]).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(engine.evaluations(), 1, "order-insensitive cache");
         let stats = engine.stats();
@@ -511,20 +579,27 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_still_answers_correctly() {
-        let fleet = constant_fleet(&[1.0, 2.0, 3.0]);
-        let engine = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05)
-            .with_cache_capacity(1);
-        let a = engine.server_required(&[0]);
-        let b = engine.server_required(&[1]);
-        let c = engine.server_required(&[2]);
-        // Cache holds one entry; the others recompute but agree.
-        assert_eq!(engine.server_required(&[0]), a);
-        assert_eq!(engine.server_required(&[1]), b);
-        assert_eq!(engine.server_required(&[2]), c);
-        let stats = engine.stats();
-        assert_eq!(stats.cache_hits, 1, "only the first entry was cached");
-        assert_eq!(stats.cache_misses, 5);
+    fn equivalence_classes_share_cache_entries() {
+        let fleet = constant_fleet(&[2.0, 2.0]);
+        let pool = [
+            ServerSpec::sixteen_way(),
+            ServerSpec::new(4, 1.0),
+            ServerSpec::new(4, 1.0),
+        ];
+        let engine = FitEngine::for_servers(&fleet, &pool, commitments(1.0), 0.05);
+        // Same member set on the two identical 4-ways: one evaluation.
+        assert!(engine.server_required(1, &[0]).is_some());
+        assert!(engine.server_required(2, &[0]).is_some());
+        assert_eq!(engine.evaluations(), 1);
+        // The 16-way is a different class.
+        assert!(engine.server_required(0, &[0]).is_some());
+        assert_eq!(engine.evaluations(), 2);
+        // A homogeneous engine maps every server index to its one class.
+        let homogeneous = FitEngine::new(&fleet, ServerSpec::new(4, 1.0), commitments(1.0), 0.05);
+        assert_eq!(
+            homogeneous.server_required(999, &[0]),
+            engine.server_required(1, &[0])
+        );
     }
 
     #[test]
@@ -548,8 +623,8 @@ mod tests {
         let engine = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05)
             .with_threads(3);
         let sets = vec![vec![0u16], vec![1], vec![2], vec![0, 1, 2]];
-        let batched = engine.required_many(&sets);
-        let single: Vec<Option<f64>> = sets.iter().map(|s| engine.server_required(s)).collect();
+        let batched = engine.required_many(0, &sets);
+        let single: Vec<Option<f64>> = sets.iter().map(|s| engine.server_required(0, s)).collect();
         assert_eq!(batched, single);
     }
 
@@ -561,8 +636,8 @@ mod tests {
         engine.misses.store(u64::MAX - 1, Ordering::Relaxed);
         // A miss (fresh key) then a hit (same key) land on counters that
         // are at or near the ceiling.
-        let _ = engine.server_required(&[0]);
-        let _ = engine.server_required(&[0]);
+        let _ = engine.server_required(0, &[0]);
+        let _ = engine.server_required(0, &[0]);
         let stats = engine.stats();
         assert_eq!(stats.cache_misses, u64::MAX, "miss counter pinned");
         assert_eq!(stats.cache_hits, u64::MAX, "hit counter pinned, not 0");
@@ -578,8 +653,8 @@ mod tests {
         let mut scratch = FitScratch::new();
         for set in [&[0u16][..], &[0, 1], &[1, 2, 3], &[0, 1, 2, 3]] {
             assert_eq!(
-                engine.server_required_scratch(set, &mut scratch),
-                fresh.server_required(set)
+                engine.server_required_scratch(0, set, &mut scratch),
+                fresh.server_required(0, set)
             );
         }
         // Whole-assignment evaluation through the same reused scratch.

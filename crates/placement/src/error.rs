@@ -13,6 +13,11 @@ pub enum PlacementError {
         /// Name of the offending workload.
         name: String,
     },
+    /// More workloads than the fit engine can index (`u16::MAX`).
+    TooManyWorkloads {
+        /// Number of workloads supplied.
+        count: usize,
+    },
     /// Workload traces must cover whole weeks for the `θ` measurement.
     PartialWeeks {
         /// Name of the offending workload.
@@ -52,6 +57,11 @@ impl fmt::Display for PlacementError {
             PlacementError::MisalignedWorkloads { name } => {
                 write!(f, "workload {name} is not aligned with the others")
             }
+            PlacementError::TooManyWorkloads { count } => write!(
+                f,
+                "{count} workloads exceed the placement limit of {}",
+                u16::MAX
+            ),
             PlacementError::PartialWeeks { name } => {
                 write!(f, "workload {name} does not cover whole weeks")
             }
@@ -97,6 +107,7 @@ mod tests {
             PlacementError::NoWorkloads,
             PlacementError::MisalignedWorkloads { name: "a".into() },
             PlacementError::PartialWeeks { name: "b".into() },
+            PlacementError::TooManyWorkloads { count: 70_000 },
             PlacementError::InvalidServer {
                 message: "zero cpus".into(),
             },

@@ -47,9 +47,6 @@ pub struct GaOptions {
     /// are bit-identical to serial runs under the same seed.
     #[serde(default = "default_threads")]
     pub threads: usize,
-    /// Maximum fit-cache entries; 0 means unbounded.
-    #[serde(default)]
-    pub cache_capacity: usize,
 }
 
 fn default_threads() -> usize {
@@ -68,7 +65,6 @@ impl GaOptions {
             capacity_tolerance: 0.05,
             seed,
             threads: 1,
-            cache_capacity: 0,
         }
     }
 
@@ -83,7 +79,6 @@ impl GaOptions {
             capacity_tolerance: 0.1,
             seed,
             threads: 1,
-            cache_capacity: 0,
         }
     }
 
@@ -134,12 +129,6 @@ impl GaOptions {
         self.threads = threads.max(1);
         self
     }
-
-    /// Bounds the fit cache to `capacity` entries (0 = unbounded).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
 }
 
 impl Default for GaOptions {
@@ -165,8 +154,9 @@ pub struct GaOutcome {
     pub stats: EngineStats,
 }
 
-/// Runs the genetic search from one or more seed assignments over a pool
-/// of `servers` identical servers.
+/// Runs the genetic search from one or more seed assignments over the
+/// first `servers` servers of the engine's pool; each server is scored
+/// with its own spec's `Z`.
 ///
 /// Elitism guarantees the result scores at least as well as the best
 /// feasible seed, so seeding with greedy solutions makes the GA dominate
@@ -367,12 +357,11 @@ fn drain_mutation(
     if used.len() < 2 {
         return;
     }
-    let cpus = evaluator.server().cpus();
     let model = evaluator.score_model();
     // Weight = how far the server is from a perfect contribution of 1.
     let weights: Vec<f64> = used
         .iter()
-        .map(|&s| (1.0 - outcomes[s].value_with(model, cpus)).max(0.01))
+        .map(|&s| (1.0 - outcomes[s].value_with(model, evaluator.server(s).cpus())).max(0.01))
         .collect();
     let victim = used[rng.weighted_index(&weights)];
     let targets: Vec<usize> = used.iter().copied().filter(|&s| s != victim).collect();
@@ -422,8 +411,8 @@ mod tests {
     fn evaluator_caches_by_member_set() {
         let fleet = constant_fleet(&[2.0, 3.0]);
         let eval = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05);
-        let r1 = eval.server_required(&[0, 1]).unwrap();
-        let r2 = eval.server_required(&[1, 0]).unwrap();
+        let r1 = eval.server_required(0, &[0, 1]).unwrap();
+        let r2 = eval.server_required(0, &[1, 0]).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(eval.evaluations(), 1, "order-insensitive cache");
         assert!((r1 - 5.0).abs() < 0.1);
@@ -515,8 +504,8 @@ mod tests {
         let eval = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05);
         // CPU-wise all four fit one server (4 CPUs of 16), but memory
         // (96 GB) does not.
-        assert!(eval.server_required(&[0, 1]).is_some());
-        assert!(eval.server_required(&[0, 1, 2]).is_none());
+        assert!(eval.server_required(0, &[0, 1]).is_some());
+        assert!(eval.server_required(0, &[0, 1, 2]).is_none());
         let initial: Vec<usize> = (0..4).collect();
         let outcome = optimize(&eval, &[initial], 4, &GaOptions::fast(5)).unwrap();
         let used: std::collections::HashSet<usize> = outcome.assignment.iter().copied().collect();
@@ -549,7 +538,7 @@ mod tests {
         };
         let fleet = vec![mk("morning", 96), mk("evening", 192)];
         let eval = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(0.9), 0.05);
-        let req = eval.server_required(&[0, 1]);
+        let req = eval.server_required(0, &[0, 1]);
         assert!(req.is_some());
         assert!(req.unwrap() <= 16.0);
     }

@@ -43,7 +43,7 @@ impl GreedyStrategy {
 
 /// Packs the evaluator's workloads onto as few servers as the strategy
 /// manages, returning an assignment (`app → server`) using server indices
-/// `0..servers_used`.
+/// `0..servers_used`; bin `i` is fitted as the engine's server `i`.
 ///
 /// # Errors
 ///
@@ -84,7 +84,9 @@ pub fn place(
             candidate.clear();
             candidate.extend_from_slice(bin);
             candidate.push(app as u16);
-            let Some(required) = evaluator.server_required_scratch(&candidate, &mut scratch) else {
+            let Some(required) =
+                evaluator.server_required_scratch(bin_index, &candidate, &mut scratch)
+            else {
                 continue;
             };
             match strategy {
@@ -100,7 +102,7 @@ pub fn place(
                 }
                 GreedyStrategy::MinMarginalCapacity => {
                     let before = evaluator
-                        .server_required_scratch(bin, &mut scratch)
+                        .server_required_scratch(bin_index, bin, &mut scratch)
                         // lint:allow(panic-expect): every bin was admitted
                         // through this same fit check, so it must refit.
                         .expect("an existing bin always fits its own contents");
@@ -121,7 +123,7 @@ pub fn place(
             None => {
                 // Open a new server; the workload must at least fit alone.
                 if evaluator
-                    .server_required_scratch(&[app as u16], &mut scratch)
+                    .server_required_scratch(bins.len(), &[app as u16], &mut scratch)
                     .is_none()
                 {
                     return Err(PlacementError::Infeasible {

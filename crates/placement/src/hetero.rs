@@ -2,282 +2,75 @@
 //!
 //! The paper's score function is defined for pools where "resources may
 //! have different numbers of CPUs" — `f(U) = U^(2Z)` with a per-server
-//! `Z`. The homogeneous path ([`crate::consolidate`]) covers the §VII
-//! case study; this module generalizes the evaluator, the greedy seeding,
-//! and the genetic search to a pool given as an explicit list of
-//! [`ServerSpec`]s, so mixed fleets (e.g. 16-way boxes plus smaller
-//! blades) can be consolidated with the same machinery.
-
-// lint:allow(det-unordered-collection): the memo cache is lookup-only —
-// never iterated, so hash order cannot reach any result.
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+//! `Z`. A pool given as an explicit list of [`ServerSpec`]s (e.g. 16-way
+//! boxes plus smaller blades) runs through the same [`FitEngine`] and
+//! genetic search ([`ga::optimize`]) as the homogeneous path: the engine
+//! maps each server to the class of its spec, so identical servers share
+//! cache entries and each server is fitted and scored by its own spec. A
+//! uniform list is one class and reproduces
+//! [`Consolidator::consolidate_onto`](crate::consolidate::Consolidator::consolidate_onto)
+//! bit for bit.
 
 use serde::{Deserialize, Serialize};
 
 use ropus_qos::PoolCommitments;
-use ropus_trace::rng::Rng;
 
-use crate::engine::{parallel_map, EngineStats};
-use crate::ga::GaOptions;
-use crate::score::{ScoreModel, ServerOutcome};
+use crate::engine::{FitEngine, FitScratch};
+use crate::ga::{self, GaOptions};
+use crate::score::ServerOutcome;
 use crate::server::ServerSpec;
-use crate::simulator::{AggregateLoad, FitOptions, FitRequest};
 use crate::workload::{validate_workloads, Workload};
 use crate::PlacementError;
 
-/// Cache key: (server equivalence class, sorted member set).
-type FitKey = (u16, Vec<u16>);
-
-/// Memoizing fit evaluator over an explicit (possibly mixed) server list.
-///
-/// Results are cached by *(server equivalence class, member set)*: two
-/// servers with identical specs share cache entries, so a pool of 30
-/// identical boxes costs no more than the homogeneous evaluator. The cache
-/// and counters are thread-safe so population scoring can run on the same
-/// scoped worker pool as the homogeneous [`FitEngine`](crate::engine).
-#[derive(Debug)]
-pub struct HeteroEvaluator<'a> {
-    workloads: &'a [Workload],
-    servers: Vec<ServerSpec>,
-    classes: Vec<u16>,
-    commitments: PoolCommitments,
-    tolerance: f64,
-    threads: usize,
-    // lint:allow(det-unordered-collection): lookup-only cache, never
-    // iterated; results are pure functions of the (class, members) key.
-    cache: Mutex<HashMap<FitKey, Option<f64>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<'a> HeteroEvaluator<'a> {
-    /// Creates an evaluator for `workloads` over the given server list.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PlacementError`] for an empty pool or invalid workloads.
-    pub fn new(
-        workloads: &'a [Workload],
-        servers: Vec<ServerSpec>,
-        commitments: PoolCommitments,
-        tolerance: f64,
-    ) -> Result<Self, PlacementError> {
-        if servers.is_empty() {
-            return Err(PlacementError::InvalidServer {
-                message: "pool has no servers".into(),
-            });
-        }
-        validate_workloads(workloads)?;
-        assert!(workloads.len() <= u16::MAX as usize, "too many workloads");
-        assert!(tolerance > 0.0, "tolerance must be positive");
-        // Equivalence classes: identical specs share one class id.
-        let mut distinct: Vec<ServerSpec> = Vec::new();
-        let classes = servers
-            .iter()
-            .map(|&s| match distinct.iter().position(|&d| d == s) {
-                Some(i) => i as u16,
-                None => {
-                    distinct.push(s);
-                    (distinct.len() - 1) as u16
-                }
-            })
-            .collect();
-        Ok(HeteroEvaluator {
-            workloads,
-            servers,
-            classes,
-            commitments,
-            tolerance,
-            threads: 1,
-            // lint:allow(det-unordered-collection): see the field note —
-            // the cache is never iterated.
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    }
-
-    /// Sets the worker-thread count for population scoring (values below 1
-    /// clamp to 1). Parallel scoring is bit-identical to serial scoring.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// A snapshot of the evaluator's engine statistics.
-    pub fn stats(&self) -> EngineStats {
-        let hits = self.hits.load(Ordering::Relaxed);
-        let misses = self.misses.load(Ordering::Relaxed);
-        EngineStats {
-            evaluations: hits + misses,
-            cache_hits: hits,
-            cache_misses: misses,
-            threads: self.threads,
-            ..EngineStats::default()
-        }
-    }
-
-    /// The pool's servers, in index order.
-    pub fn servers(&self) -> &[ServerSpec] {
-        &self.servers
-    }
-
-    /// The workloads under evaluation.
-    pub fn workloads(&self) -> &'a [Workload] {
-        self.workloads
-    }
-
-    /// Number of uncached fit evaluations performed so far.
-    pub fn evaluations(&self) -> usize {
-        self.misses.load(Ordering::Relaxed) as usize
-    }
-
-    /// Required capacity for workload indices `members` on server
-    /// `server`; `None` when they do not fit it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` or a member index is out of range.
-    pub fn server_required(&self, server: usize, members: &[u16]) -> Option<f64> {
-        let spec = self.servers[server];
-        let mut key_members: Vec<u16> = members.to_vec();
-        key_members.sort_unstable();
-        let key = (self.classes[server], key_members);
-        // lint:allow(panic-expect): a poisoned mutex means a scoring
-        // worker already panicked; propagating is the only sound move.
-        if let Some(hit) = self.cache.lock().expect("cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let refs: Vec<&Workload> = key.1.iter().map(|&i| &self.workloads[i as usize]).collect();
-        // lint:allow(panic-expect): member traces were validated aligned
-        // at evaluator construction.
-        let load = AggregateLoad::of(&refs).expect("validated at construction");
-        let result = FitRequest::new(&load, &self.commitments)
-            .with_options(
-                FitOptions::new()
-                    .with_memory_capacity(spec.memory_gb())
-                    .with_tolerance(self.tolerance),
-            )
-            .required_capacity(spec.capacity());
-        self.cache
-            .lock()
-            // lint:allow(panic-expect): see the lock note above.
-            .expect("cache poisoned")
-            .insert(key, result);
-        result
-    }
-
-    /// Per-server outcomes of an assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range assignments or length mismatch.
-    pub fn outcomes(&self, assignment: &[usize]) -> Vec<ServerOutcome> {
-        assert_eq!(
-            assignment.len(),
-            self.workloads.len(),
-            "assignment length mismatch"
-        );
-        let mut members: Vec<Vec<u16>> = vec![Vec::new(); self.servers.len()];
-        for (app, &srv) in assignment.iter().enumerate() {
-            assert!(srv < self.servers.len(), "server {srv} outside the pool");
-            members[srv].push(app as u16);
-        }
-        members
-            .iter()
-            .enumerate()
-            .map(|(srv, set)| {
-                if set.is_empty() {
-                    return ServerOutcome::Unused;
-                }
-                match self.server_required(srv, set) {
-                    Some(required) => ServerOutcome::Fits {
-                        required,
-                        utilization: required / self.servers[srv].capacity(),
-                    },
-                    None => ServerOutcome::Overbooked {
-                        workloads: set.len(),
-                    },
-                }
-            })
-            .collect()
-    }
-
-    /// Score (per-server `f(U; Z_s)`) and feasibility of an assignment.
-    pub fn evaluate(&self, assignment: &[usize]) -> (f64, bool) {
-        let outcomes = self.outcomes(assignment);
-        let mut score = 0.0;
-        let mut feasible = true;
-        for (outcome, spec) in outcomes.iter().zip(&self.servers) {
-            score += outcome.value_with(ScoreModel::PowerTwoZ, spec.cpus());
-            feasible &= outcome.is_feasible();
-        }
-        (score, feasible)
-    }
-
-    /// Scores a whole population, in input order, on the configured worker
-    /// pool. Bit-identical to calling [`evaluate`](Self::evaluate) per
-    /// assignment serially.
-    pub fn score_assignments(&self, assignments: &[Vec<usize>]) -> Vec<(f64, bool)> {
-        parallel_map(self.threads, assignments, |a| self.evaluate(a))
-    }
-}
-
-/// Greedy first-fit-decreasing seed over the heterogeneous pool: workloads
-/// by descending peak allocation, servers tried largest-capacity first.
+/// Greedy first-fit-decreasing seed over the engine's first `servers`
+/// servers: workloads by descending peak allocation, servers tried
+/// largest-capacity first.
 ///
 /// # Errors
 ///
 /// Returns [`PlacementError::Infeasible`] when some workload fits no
 /// server of the pool, even empty.
-pub fn seed_ffd(evaluator: &HeteroEvaluator<'_>) -> Result<Vec<usize>, PlacementError> {
-    let workloads = evaluator.workloads();
+pub fn seed_ffd(engine: &FitEngine<'_>, servers: usize) -> Result<Vec<usize>, PlacementError> {
+    let workloads = engine.workloads();
     let mut app_order: Vec<usize> = (0..workloads.len()).collect();
     app_order.sort_by(|&a, &b| {
         workloads[b]
             .total_peak()
             .total_cmp(&workloads[a].total_peak())
     });
-    let mut server_order: Vec<usize> = (0..evaluator.servers().len()).collect();
+    let mut server_order: Vec<usize> = (0..servers).collect();
     server_order.sort_by(|&a, &b| {
-        evaluator.servers()[b]
+        engine
+            .server(b)
             .capacity()
-            .total_cmp(&evaluator.servers()[a].capacity())
+            .total_cmp(&engine.server(a).capacity())
     });
 
-    let mut members: Vec<Vec<u16>> = vec![Vec::new(); evaluator.servers().len()];
+    let mut members: Vec<Vec<u16>> = vec![Vec::new(); servers];
     let mut assignment = vec![usize::MAX; workloads.len()];
+    let mut candidate: Vec<u16> = Vec::new();
+    let mut scratch = FitScratch::new();
     for &app in &app_order {
-        let mut placed = false;
-        for &srv in &server_order {
-            let mut candidate = members[srv].clone();
-            candidate.push(app as u16);
-            if evaluator.server_required(srv, &candidate).is_some() {
-                members[srv].push(app as u16);
-                assignment[app] = srv;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return Err(PlacementError::Infeasible {
-                servers: evaluator.servers().len(),
+        let srv = server_order
+            .iter()
+            .copied()
+            .find(|&srv| {
+                candidate.clear();
+                candidate.extend_from_slice(&members[srv]);
+                candidate.push(app as u16);
+                engine
+                    .server_required_scratch(srv, &candidate, &mut scratch)
+                    .is_some()
+            })
+            .ok_or_else(|| PlacementError::Infeasible {
+                servers,
                 message: format!(
                     "workload {} fits no server of the pool",
                     workloads[app].name()
                 ),
-            });
-        }
+            })?;
+        members[srv].push(app as u16);
+        assignment[app] = srv;
     }
     Ok(assignment)
 }
@@ -295,145 +88,52 @@ pub struct HeteroReport {
     pub required_capacity_total: f64,
 }
 
-/// Genetic consolidation over a heterogeneous pool. The operators mirror
-/// the homogeneous search (Fig. 5): drain mutation biased toward servers
-/// with poor `f(U; Z_s)`, random-share crossover, elitism.
+/// Genetic consolidation over the pool `servers` (server `i` has spec
+/// `servers[i]`): a first-fit-decreasing seed refined by
+/// [`ga::optimize`]. The fit tolerance, worker threads and PRNG seed come
+/// from `options`.
 ///
 /// # Errors
 ///
-/// Returns [`PlacementError::Infeasible`] when no feasible assignment is
-/// found.
+/// Returns [`PlacementError::InvalidServer`] for an empty pool, validation
+/// errors for degenerate workloads, and [`PlacementError::Infeasible`]
+/// when no feasible assignment is found.
 pub fn consolidate_hetero(
-    evaluator: &HeteroEvaluator<'_>,
+    workloads: &[Workload],
+    servers: &[ServerSpec],
+    commitments: PoolCommitments,
     options: &GaOptions,
 ) -> Result<HeteroReport, PlacementError> {
-    let seed = seed_ffd(evaluator)?;
-    let servers = evaluator.servers().len();
-    let mut rng = Rng::seed_from_u64(options.seed);
-
-    let mut population: Vec<Vec<usize>> = vec![seed.clone()];
-    while population.len() < options.population.max(2) {
-        let mut variant = seed.clone();
-        for gene in variant.iter_mut() {
-            if rng.bernoulli(options.gene_mutation_probability.max(0.05)) {
-                *gene = rng.below(servers);
-            }
-        }
-        population.push(variant);
+    if servers.is_empty() {
+        return Err(PlacementError::InvalidServer {
+            message: "pool has no servers".into(),
+        });
     }
+    validate_workloads(workloads)?;
+    let engine =
+        FitEngine::for_servers(workloads, servers, commitments, options.capacity_tolerance)
+            .with_threads(options.threads);
+    let seed = seed_ffd(&engine, servers.len())?;
+    let outcome = ga::optimize(&engine, &[seed], servers.len(), options)?;
 
-    let mut scored = score_hetero_population(evaluator, population);
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    let mut stagnation = 0usize;
-
-    for _ in 0..options.max_generations {
-        let mut improved = false;
-        for (a, s, f) in &scored {
-            if *f && best.as_ref().is_none_or(|(_, bs)| *s > bs + 1e-12) {
-                best = Some((a.clone(), *s));
-                improved = true;
-            }
-        }
-        if improved {
-            stagnation = 0;
-        } else {
-            stagnation += 1;
-            if stagnation >= options.stagnation_limit {
-                break;
-            }
-        }
-
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let mut next: Vec<Vec<usize>> = scored.iter().take(2).map(|e| e.0.clone()).collect();
-        while next.len() < options.population {
-            let a = &scored[rng.below(scored.len()).min(scored.len() - 1)].0;
-            let b = &scored[rng.below(scored.len())].0;
-            let share = rng.next_f64();
-            let mut child: Vec<usize> = a
-                .iter()
-                .zip(b.iter())
-                .map(|(&ga, &gb)| if rng.next_f64() < share { ga } else { gb })
-                .collect();
-            if rng.bernoulli(options.drain_mutation_probability) {
-                drain(&mut child, evaluator, &mut rng);
-            }
-            for gene in child.iter_mut() {
-                if rng.bernoulli(options.gene_mutation_probability) {
-                    *gene = rng.below(servers);
-                }
-            }
-            next.push(child);
-        }
-        scored = score_hetero_population(evaluator, next);
-    }
-    // Fold in the final generation.
-    for (a, s, f) in &scored {
-        if *f && best.as_ref().is_none_or(|(_, bs)| *s > bs + 1e-12) {
-            best = Some((a.clone(), *s));
-        }
-    }
-
-    let (assignment, score) = best.ok_or_else(|| PlacementError::Infeasible {
-        servers,
-        message: "no feasible heterogeneous assignment found".into(),
-    })?;
-    let outcomes = evaluator.outcomes(&assignment);
     let mut used_servers = Vec::new();
     let mut required_capacity_total = 0.0;
-    for (srv, outcome) in outcomes.iter().enumerate() {
+    for (srv, outcome) in engine
+        .outcomes(&outcome.assignment, servers.len())
+        .iter()
+        .enumerate()
+    {
         if let ServerOutcome::Fits { required, .. } = outcome {
             used_servers.push(srv);
             required_capacity_total += required;
         }
     }
     Ok(HeteroReport {
-        assignment,
+        assignment: outcome.assignment,
         used_servers,
-        score,
+        score: outcome.score,
         required_capacity_total,
     })
-}
-
-/// Scores a population through the evaluator's (possibly parallel)
-/// scoring path.
-fn score_hetero_population(
-    evaluator: &HeteroEvaluator<'_>,
-    population: Vec<Vec<usize>>,
-) -> Vec<(Vec<usize>, f64, bool)> {
-    let scores = evaluator.score_assignments(&population);
-    population
-        .into_iter()
-        .zip(scores)
-        .map(|(a, (s, f))| (a, s, f))
-        .collect()
-}
-
-/// Drain mutation over the heterogeneous pool.
-fn drain(assignment: &mut [usize], evaluator: &HeteroEvaluator<'_>, rng: &mut Rng) {
-    let outcomes = evaluator.outcomes(assignment);
-    let used: Vec<usize> = (0..outcomes.len())
-        .filter(|&s| !matches!(outcomes[s], ServerOutcome::Unused))
-        .collect();
-    if used.len() < 2 {
-        return;
-    }
-    let weights: Vec<f64> = used
-        .iter()
-        .map(|&s| {
-            let z = evaluator.servers()[s].cpus();
-            (1.0 - outcomes[s].value_with(ScoreModel::PowerTwoZ, z)).max(0.01)
-        })
-        .collect();
-    let victim = used[rng.weighted_index(&weights)];
-    let targets: Vec<usize> = used.iter().copied().filter(|&s| s != victim).collect();
-    for gene in assignment.iter_mut() {
-        if *gene == victim {
-            // lint:allow(panic-expect): `targets` is `used` minus one
-            // server and `used.len() >= 2` was checked on entry.
-            let (_, &target) = rng.choose(&targets).expect("targets non-empty");
-            *gene = target;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -473,50 +173,45 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn equivalence_classes_share_cache_entries() {
-        let fleet = constant_fleet(&[2.0, 2.0]);
-        let eval = HeteroEvaluator::new(&fleet, mixed_pool(), commitments(), 0.05).unwrap();
-        // Same member set on the two identical 4-ways: one evaluation.
-        assert!(eval.server_required(1, &[0]).is_some());
-        assert!(eval.server_required(2, &[0]).is_some());
-        assert_eq!(eval.evaluations(), 1);
-        // The 16-way is a different class.
-        assert!(eval.server_required(0, &[0]).is_some());
-        assert_eq!(eval.evaluations(), 2);
+    fn engine(fleet: &[Workload]) -> FitEngine<'_> {
+        FitEngine::for_servers(fleet, &mixed_pool(), commitments(), 0.05)
     }
 
     #[test]
     fn big_workloads_only_fit_the_big_server() {
         let fleet = constant_fleet(&[10.0, 1.0, 1.0]);
-        let eval = HeteroEvaluator::new(&fleet, mixed_pool(), commitments(), 0.05).unwrap();
+        let eval = engine(&fleet);
         assert!(eval.server_required(0, &[0]).is_some());
         assert!(
             eval.server_required(1, &[0]).is_none(),
             "10 CPUs on a 4-way"
         );
-        let seed = seed_ffd(&eval).unwrap();
+        let seed = seed_ffd(&eval, 3).unwrap();
         assert_eq!(
             seed[0], 0,
             "FFD must put the 10-CPU workload on the 16-way: {seed:?}"
         );
+        let report =
+            consolidate_hetero(&fleet, &mixed_pool(), commitments(), &GaOptions::fast(1)).unwrap();
+        assert_eq!(report.assignment[0], 0, "{:?}", report.assignment);
     }
 
     #[test]
     fn consolidation_packs_feasibly_and_beats_the_seed() {
         let fleet = constant_fleet(&[10.0, 3.0, 3.0, 2.0, 1.5, 1.0]);
-        let eval = HeteroEvaluator::new(&fleet, mixed_pool(), commitments(), 0.05).unwrap();
-        let seed = seed_ffd(&eval).unwrap();
-        let (seed_score, seed_feasible) = eval.evaluate(&seed);
+        let eval = engine(&fleet);
+        let seed = seed_ffd(&eval, 3).unwrap();
+        let (seed_score, seed_feasible) = eval.evaluate(&seed, 3);
         assert!(seed_feasible);
-        let report = consolidate_hetero(&eval, &GaOptions::fast(3)).unwrap();
+        let options = GaOptions::fast(3).with_capacity_tolerance(0.05);
+        let report = consolidate_hetero(&fleet, &mixed_pool(), commitments(), &options).unwrap();
         assert!(
             report.score >= seed_score - 1e-9,
             "{} vs {}",
             report.score,
             seed_score
         );
-        let (_, feasible) = eval.evaluate(&report.assignment);
+        let (_, feasible) = eval.evaluate(&report.assignment, 3);
         assert!(feasible);
         assert!(!report.used_servers.is_empty());
         assert!(report.required_capacity_total > 0.0);
@@ -525,13 +220,12 @@ mod tests {
     #[test]
     fn infeasible_when_nothing_fits() {
         let fleet = constant_fleet(&[20.0]);
-        let eval = HeteroEvaluator::new(&fleet, mixed_pool(), commitments(), 0.05).unwrap();
         assert!(matches!(
-            seed_ffd(&eval),
+            seed_ffd(&engine(&fleet), 3),
             Err(PlacementError::Infeasible { .. })
         ));
         assert!(matches!(
-            consolidate_hetero(&eval, &GaOptions::fast(0)),
+            consolidate_hetero(&fleet, &mixed_pool(), commitments(), &GaOptions::fast(0)),
             Err(PlacementError::Infeasible { .. })
         ));
     }
@@ -540,7 +234,7 @@ mod tests {
     fn empty_pool_rejected() {
         let fleet = constant_fleet(&[1.0]);
         assert!(matches!(
-            HeteroEvaluator::new(&fleet, vec![], commitments(), 0.05),
+            consolidate_hetero(&fleet, &[], commitments(), &GaOptions::fast(0)),
             Err(PlacementError::InvalidServer { .. })
         ));
     }
@@ -549,8 +243,7 @@ mod tests {
     fn deterministic_per_seed() {
         let fleet = constant_fleet(&[5.0, 4.0, 3.0, 2.0]);
         let run = |s| {
-            let eval = HeteroEvaluator::new(&fleet, mixed_pool(), commitments(), 0.05).unwrap();
-            consolidate_hetero(&eval, &GaOptions::fast(s)).unwrap()
+            consolidate_hetero(&fleet, &mixed_pool(), commitments(), &GaOptions::fast(s)).unwrap()
         };
         assert_eq!(run(5), run(5));
     }

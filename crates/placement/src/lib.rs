@@ -49,7 +49,7 @@
 //! let consolidator = Consolidator::new(
 //!     ServerSpec::new(16, 1.0),
 //!     commitments,
-//!     ConsolidationOptions::fast(7).with_threads(2).with_cache_capacity(4096),
+//!     ConsolidationOptions::fast(7).with_threads(2),
 //! );
 //! let report = consolidator.consolidate(&workloads, ropus_obs::ObsCtx::none())?;
 //! assert!(report.servers_used >= 1);

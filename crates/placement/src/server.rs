@@ -101,8 +101,10 @@ impl ServerSpec {
 
 /// A homogeneous pool: `count` servers of the same spec.
 ///
-/// The case study consolidates onto identical 16-way servers; heterogeneous
-/// pools can be modelled by consolidating per-tier.
+/// The case study consolidates onto identical 16-way servers; mixed pools
+/// are given as an explicit server list to
+/// [`consolidate_hetero`](crate::hetero::consolidate_hetero), which runs
+/// the same engine and search with one server class per distinct spec.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Pool {
     /// The common server specification.

@@ -210,8 +210,9 @@ impl Workload {
     }
 }
 
-/// Validates that a set of workloads is non-empty, mutually aligned, and
-/// covers whole weeks; returns the common slot count.
+/// Validates that a set of workloads is non-empty, no larger than the fit
+/// engine can index (`u16::MAX`), mutually aligned, and covers whole
+/// weeks; returns the common slot count.
 ///
 /// Accepts any iterator of borrowed workloads (`&[Workload]`,
 /// `slice.iter().copied()` over `&[&Workload]`, …) so callers holding
@@ -228,7 +229,9 @@ where
     let first = iter.next().ok_or(PlacementError::NoWorkloads)?;
     let len = first.len();
     let calendar = first.cos1().calendar();
+    let mut count = 0usize;
     for w in std::iter::once(first).chain(iter) {
+        count += 1;
         if w.len() != len || w.cos1().calendar() != calendar {
             return Err(PlacementError::MisalignedWorkloads {
                 name: w.name().to_string(),
@@ -239,6 +242,9 @@ where
                 name: w.name().to_string(),
             });
         }
+    }
+    if count > u16::MAX as usize {
+        return Err(PlacementError::TooManyWorkloads { count });
     }
     Ok(len)
 }

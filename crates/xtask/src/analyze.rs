@@ -19,7 +19,7 @@
 //!   (`crates/obs/src/names.rs`), either by literal value or via a
 //!   `names::CONST` reference.
 //!
-//! Every diagnostic carries a [`PathStep`] chain so text, JSON, and SARIF
+//! Every diagnostic carries a [`PathStep`] chain so text and JSON
 //! output can show the full call path, not just the sink line.
 //!
 //! A `lint:allow` at a sink or panic site clears the graph rule too when

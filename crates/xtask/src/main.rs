@@ -15,7 +15,7 @@ const USAGE: &str = "\
 usage: cargo run -p xtask -- lint [options]
 
 options:
-    --format <text|json|sarif>   output format (default: text)
+    --format <text|json>         output format (default: text)
     --root <dir>                 workspace root (default: autodetected)
     --config <path>              lints.toml path (default: <root>/crates/xtask/lints.toml)
     --list-rules                 print the rule registry and exit
@@ -63,7 +63,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     .next()
                     .ok_or_else(|| format!("--format needs a value\n{USAGE}"))?
                     .clone();
-                if format != "text" && format != "json" && format != "sarif" {
+                if format != "text" && format != "json" {
                     return Err(format!("unknown format `{format}`\n{USAGE}"));
                 }
             }
@@ -136,7 +136,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let outcome = xtask::lint_workspace(&root, &config)?;
     let rendered = match format.as_str() {
         "json" => report::render_json(&outcome.diagnostics, outcome.files_scanned),
-        "sarif" => report::render_sarif(&outcome.diagnostics),
         _ => report::render_text(&outcome.diagnostics, outcome.files_scanned),
     };
     println!("{rendered}");

@@ -1,6 +1,6 @@
-//! Diagnostic rendering: human text, machine-readable JSON, and SARIF.
+//! Diagnostic rendering: human text and machine-readable JSON.
 //!
-//! The JSON and SARIF writers are hand-rolled (the vendored `serde_json`
+//! The JSON writer is hand-rolled (the vendored `serde_json`
 //! is a dev-facing stand-in and `xtask` stays dependency-free); the JSON
 //! shape is stable so CI and editors can consume it:
 //!
@@ -12,12 +12,10 @@
 //! ```
 //!
 //! `violations` counts errors only — warnings (the relaxed cli/examples
-//! tier) never gate. The SARIF output targets the 2.1.0 schema with
-//! `codeFlows` carrying the call-path evidence of the graph rules, so
-//! code hosts can render "how does the entry point reach this line".
+//! tier) never gate.
 
 use crate::callgraph::PathStep;
-use crate::rules::{self, Severity};
+use crate::rules::Severity;
 
 /// One rule violation at a source location (1-based line and column).
 #[derive(Clone, PartialEq, Debug)]
@@ -123,73 +121,6 @@ pub fn render_json(diagnostics: &[Diagnostic], files_scanned: usize) -> String {
     out
 }
 
-/// Renders a minimal SARIF 2.1.0 log: one run, the rule registry as the
-/// tool's rule metadata, one result per diagnostic, and a `codeFlow` per
-/// non-empty call path.
-pub fn render_sarif(diagnostics: &[Diagnostic]) -> String {
-    let mut out = String::from(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-         \"name\":\"xtask-lint\",\"rules\":[",
-    );
-    for (i, rule) in rules::registry().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}},\
-             \"help\":{{\"text\":\"{}\"}}}}",
-            escape(rule.id),
-            escape(&rules::oneline(rule.summary)),
-            escape(&rules::oneline(rule.hint))
-        ));
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let level = match d.severity {
-            Severity::Error => "error",
-            Severity::Warn => "warning",
-        };
-        out.push_str(&format!(
-            "{{\"ruleId\":\"{}\",\"level\":\"{level}\",\
-             \"message\":{{\"text\":\"{}\"}},\"locations\":[{}]",
-            escape(&d.rule),
-            escape(&d.message),
-            sarif_location(&d.file, d.line, d.column, None)
-        ));
-        if !d.path.is_empty() {
-            out.push_str(",\"codeFlows\":[{\"threadFlows\":[{\"locations\":[");
-            for (j, step) in d.path.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"location\":{}}}",
-                    sarif_location(&step.file, step.line, 1, Some(&step.symbol))
-                ));
-            }
-            out.push_str("]}]}]");
-        }
-        out.push('}');
-    }
-    out.push_str("]}]}");
-    out
-}
-
-fn sarif_location(file: &str, line: usize, column: usize, message: Option<&str>) -> String {
-    let message = message.map_or(String::new(), |m| {
-        format!(",\"message\":{{\"text\":\"{}\"}}", escape(m))
-    });
-    format!(
-        "{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
-         \"region\":{{\"startLine\":{line},\"startColumn\":{column}}}}}{message}}}",
-        escape(file)
-    )
-}
-
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -277,18 +208,5 @@ mod tests {
         assert!(text.contains("path: CosTranslator::translate (crates/qos/src/translation.rs:3)"));
         assert!(text.contains("-> helper (crates/qos/src/cos.rs:6)"));
         assert!(text.contains("1 error(s), 1 warning(s) in 3 file(s)"));
-    }
-
-    #[test]
-    fn sarif_has_schema_results_and_code_flows() {
-        let sarif = render_sarif(&[with_path()]);
-        assert!(sarif.contains("\"version\":\"2.1.0\""));
-        assert!(sarif.contains("\"name\":\"xtask-lint\""));
-        assert!(sarif.contains("\"ruleId\":\"panic-reach\""));
-        assert!(sarif.contains("\"level\":\"error\""));
-        assert!(sarif.contains("\"codeFlows\""));
-        assert!(sarif.contains("\"text\":\"CosTranslator::translate\""));
-        // Every registered rule appears in the driver metadata.
-        assert!(sarif.contains("\"id\":\"det-taint\""));
     }
 }

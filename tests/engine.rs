@@ -6,6 +6,7 @@ use ropus::case_study::translate_fleet;
 use ropus::case_study::CaseConfig;
 use ropus::prelude::*;
 use ropus_obs::ObsCtx;
+use ropus_placement::hetero::consolidate_hetero;
 use ropus_placement::simulator::{AggregateLoad, FitOptions, FitRequest};
 
 fn translated_fleet() -> Vec<Workload> {
@@ -21,14 +22,12 @@ fn translated_fleet() -> Vec<Workload> {
         .collect()
 }
 
-fn consolidate_with(threads: usize, cache_capacity: usize) -> PlacementReport {
+fn consolidate_with(threads: usize) -> PlacementReport {
     let workloads = translated_fleet();
     let consolidator = Consolidator::new(
         ServerSpec::sixteen_way(),
         CaseConfig::table1()[2].commitments(),
-        ConsolidationOptions::fast(7)
-            .with_threads(threads)
-            .with_cache_capacity(cache_capacity),
+        ConsolidationOptions::fast(7).with_threads(threads),
     );
     consolidator
         .consolidate(&workloads, ObsCtx::none())
@@ -37,8 +36,8 @@ fn consolidate_with(threads: usize, cache_capacity: usize) -> PlacementReport {
 
 #[test]
 fn parallel_consolidation_is_bit_identical_to_serial() {
-    let serial = consolidate_with(1, 0);
-    let parallel = consolidate_with(4, 0);
+    let serial = consolidate_with(1);
+    let parallel = consolidate_with(4);
     // PlacementReport equality covers assignment, scores, and per-server
     // capacities bitwise; only the (timing-dependent) stats are excluded.
     assert_eq!(serial, parallel);
@@ -50,21 +49,37 @@ fn parallel_consolidation_is_bit_identical_to_serial() {
     assert_eq!(serial.score.to_bits(), parallel.score.to_bits());
     assert_eq!(serial.stats.threads, 1);
     assert_eq!(parallel.stats.threads, 4);
-}
 
-#[test]
-fn bounded_cache_does_not_change_the_placement() {
-    let unbounded = consolidate_with(1, 0);
-    let bounded = consolidate_with(1, 16);
-    assert_eq!(unbounded, bounded);
-    // A 16-entry cache on a 12-app search must evict, so it performs at
-    // least as many uncached evaluations as the unbounded run.
-    assert!(bounded.stats.cache_misses >= unbounded.stats.cache_misses);
+    // A mixed pool runs the same engine and search, per-server Z included.
+    let workloads = translated_fleet();
+    let pool = [
+        ServerSpec::sixteen_way(),
+        ServerSpec::new(8, 1.0),
+        ServerSpec::sixteen_way(),
+        ServerSpec::new(4, 1.0),
+        ServerSpec::new(8, 1.0),
+    ];
+    let mixed = |threads| {
+        consolidate_hetero(
+            &workloads,
+            &pool,
+            CaseConfig::table1()[2].commitments(),
+            &GaOptions::fast(7).with_threads(threads),
+        )
+        .unwrap()
+    };
+    let (serial, parallel) = (mixed(1), mixed(4));
+    assert_eq!(serial.assignment, parallel.assignment);
+    assert_eq!(serial.score.to_bits(), parallel.score.to_bits());
+    assert_eq!(
+        serial.required_capacity_total.to_bits(),
+        parallel.required_capacity_total.to_bits()
+    );
 }
 
 #[test]
 fn report_carries_engine_statistics() {
-    let report = consolidate_with(2, 0);
+    let report = consolidate_with(2);
     let stats = report.stats;
     assert!(stats.evaluations > 0);
     assert_eq!(stats.evaluations, stats.cache_hits + stats.cache_misses);
@@ -123,14 +138,12 @@ fn parallel_plan_matches_serial_plan() {
 #[test]
 fn concurrent_cache_hammer_agrees_with_serial_oracle() {
     // Two threads hammer one shared engine with overlapping member-set
-    // queries — racing cache insertions, admission control (the tiny
-    // capacity forces compute-without-insert paths), and hits against
-    // in-flight misses. Every answer must still be bit-identical to an
-    // independent serial evaluation of the same set.
+    // queries — racing cache insertions and hits against in-flight
+    // misses. Every answer must still be bit-identical to an independent
+    // serial evaluation of the same set.
     let workloads = translated_fleet();
     let commitments = CaseConfig::table1()[2].commitments();
-    let engine = FitEngine::new(&workloads, ServerSpec::sixteen_way(), commitments, 0.05)
-        .with_cache_capacity(8);
+    let engine = FitEngine::new(&workloads, ServerSpec::sixteen_way(), commitments, 0.05);
 
     let n = workloads.len() as u16;
     let mut queries: Vec<Vec<u16>> = Vec::new();
@@ -153,10 +166,10 @@ fn concurrent_cache_hammer_agrees_with_serial_oracle() {
             FitRequest::new(&load, &engine.commitments())
                 .with_options(
                     FitOptions::new()
-                        .with_memory_capacity(engine.server().memory_gb())
+                        .with_memory_capacity(engine.server(0).memory_gb())
                         .with_tolerance(0.05),
                 )
-                .required_capacity(engine.server().capacity())
+                .required_capacity(engine.server(0).capacity())
         })
         .collect();
 
@@ -176,7 +189,7 @@ fn concurrent_cache_hammer_agrees_with_serial_oracle() {
                             } else {
                                 queries.len() - 1 - index
                             };
-                            answers[q] = engine.server_required(&queries[q]);
+                            answers[q] = engine.server_required(0, &queries[q]);
                         }
                     }
                     answers
@@ -249,8 +262,8 @@ mod cached_matches_uncached {
                     .map(|&i| (i % workloads.len()) as u16)
                     .collect();
                 // First call computes, second call answers from cache.
-                let first = engine.server_required(&members);
-                let cached = engine.server_required(&members);
+                let first = engine.server_required(0, &members);
+                let cached = engine.server_required(0, &members);
                 prop_assert_eq!(first, cached);
                 // Both agree with an uncached direct evaluation.
                 let mut sorted = members.clone();
@@ -261,10 +274,10 @@ mod cached_matches_uncached {
                 let direct = FitRequest::new(&load, &engine.commitments())
                     .with_options(
                         FitOptions::new()
-                            .with_memory_capacity(engine.server().memory_gb())
+                            .with_memory_capacity(engine.server(0).memory_gb())
                             .with_tolerance(0.05),
                     )
-                    .required_capacity(engine.server().capacity());
+                    .required_capacity(engine.server(0).capacity());
                 prop_assert_eq!(first, direct);
             }
             let stats = engine.stats();
