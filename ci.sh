@@ -38,6 +38,18 @@ echo "==> perfbench build + tests"
 # and testing it here makes a library refactor that breaks it fail now.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench full-scale smoke"
+# One traced second per workload at full scale: perfbench exits nonzero
+# when an output check fails (traced layer calls reproduce the plan,
+# digest identical across passes, ...), which the TINY-scale unit tests
+# above cannot see. fleet-10k is left out: its ~1.9 GB peak is a
+# benchmark, not a smoke.
+for workload in plan-paper chaos-storm serve-churn; do
+    cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 > /dev/null \
+        || { echo "perfbench $workload: an output check failed"; exit 1; }
+done
+
 echo "==> results/ byte-identity"
 # Every experiment binary regenerates its results/*.tsv from seeded
 # inputs, so a kernel rewrite that changes any output bit shows up as a

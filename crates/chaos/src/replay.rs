@@ -10,20 +10,18 @@
 //!
 //! # Determinism
 //!
-//! The replay is a pure function of its inputs. Re-placements reuse the
-//! failure-sweep worker discipline: when the consolidator is configured
-//! with more than one thread, the distinct failed-server sets are solved
-//! through the order-preserving
-//! [`parallel_map`](ropus_placement::engine::parallel_map()) while each
-//! inner search runs single-threaded, so results are bit-identical across
-//! `--threads` settings. The slot loop itself is serial.
+//! The replay is a pure function of its inputs. Re-placements go through
+//! the failure sweep's distinct-case fan-out
+//! ([`Consolidator::consolidate_cases`]): failed-server sets whose mixed
+//! fleets and survivor pools agree are solved once, on the consolidator's
+//! shared fit memo, and results are bit-identical across `--threads`
+//! settings. The slot loop itself is serial.
 
 use std::collections::VecDeque;
 
 use ropus_obs::{BurnRateRule, ObsCtx, SloEngine};
 use ropus_placement::consolidate::{Consolidator, PlacementReport};
-use ropus_placement::engine::parallel_map;
-use ropus_placement::failure::FailureScope;
+use ropus_placement::failure::{mixed_fleet, FailureScope};
 use ropus_placement::migration::{MigrationConfig, MigrationOrchestrator, MigrationPhase};
 use ropus_placement::server::Pool;
 use ropus_placement::workload::Workload;
@@ -774,7 +772,6 @@ fn segment_plans(
     // One re-placement input per distinct failed set.
     struct SetInput {
         affected: Vec<usize>,
-        mixed: Vec<Workload>,
         survivors: Vec<usize>,
     }
     let inputs: Vec<SetInput> = distinct
@@ -783,18 +780,6 @@ fn segment_plans(
             let affected: Vec<usize> = (0..n)
                 .filter(|&i| failed.contains(&normal_placement.assignment[i]))
                 .collect();
-            let mixed: Vec<Workload> = (0..n)
-                .map(|i| match options.scope {
-                    FailureScope::AllApplications => apps[i].failure_workload.clone(),
-                    FailureScope::AffectedOnly => {
-                        if affected.contains(&i) {
-                            apps[i].failure_workload.clone()
-                        } else {
-                            apps[i].normal_workload.clone()
-                        }
-                    }
-                })
-                .collect();
             let survivors: Vec<usize> = pool_ids
                 .iter()
                 .copied()
@@ -802,50 +787,58 @@ fn segment_plans(
                 .collect();
             SetInput {
                 affected,
-                mixed,
                 survivors,
             }
         })
         .collect();
 
-    // Solve the distinct sets in parallel; each inner search runs
-    // single-threaded so worker pools do not nest and results stay
-    // bit-identical across `--threads` settings.
-    let threads = consolidator.options().ga.threads;
-    let worker = if threads > 1 {
-        Consolidator::new(
-            consolidator.server(),
-            consolidator.commitments(),
-            consolidator.options().with_threads(1),
-        )
-    } else {
-        *consolidator
-    };
+    // Solve the distinct sets through the consolidator's distinct-case
+    // fan-out; a blackout (no survivors) has nowhere to run anything.
+    let normal: Vec<Workload> = apps.iter().map(|a| a.normal_workload.clone()).collect();
+    let failure: Vec<Workload> = apps.iter().map(|a| a.failure_workload.clone()).collect();
     let server = consolidator.server();
-    let placements: Vec<(bool, Vec<Option<usize>>)> = parallel_map(threads, &inputs, |input| {
-        if input.survivors.is_empty() {
-            // Blackout: nowhere to run anything.
-            return (false, vec![None; n]);
-        }
-        let pool = Pool::homogeneous(server, input.survivors.len());
-        match worker.consolidate_onto(&input.mixed, pool, ObsCtx::none()) {
-            Ok(report) => {
-                let assignment = report
-                    .assignment
-                    .iter()
-                    .map(|&s| Some(input.survivors[s]))
-                    .collect();
-                (true, assignment)
+    let cases: Vec<(Vec<Workload>, Pool)> = inputs
+        .iter()
+        .filter(|input| !input.survivors.is_empty())
+        .map(|input| {
+            (
+                mixed_fleet(&normal, &failure, &input.affected, options.scope),
+                Pool::homogeneous(server, input.survivors.len()),
+            )
+        })
+        .collect();
+    let before = consolidator.memo_stats();
+    let solved = consolidator.consolidate_cases(&cases);
+    let memo = consolidator.memo_stats().since(&before);
+    memo.record(obs);
+    obs.counter("chaos.replay.distinct_cases", memo.distinct_cases);
+    let mut solved = cases.iter().zip(solved);
+    let placements: Vec<(bool, Vec<Option<usize>>)> = inputs
+        .iter()
+        .map(|input| {
+            if input.survivors.is_empty() {
+                return (false, vec![None; n]);
             }
-            // The survivors cannot absorb the fleet within commitments:
-            // fall back to deterministic best-effort packing and let the
-            // slot loop degrade gracefully.
-            Err(_) => (
-                false,
-                best_effort_assignment(&input.mixed, &input.survivors),
-            ),
-        }
-    });
+            match solved.next() {
+                Some((_, Ok(report))) => {
+                    let assignment = report
+                        .assignment
+                        .iter()
+                        .map(|&s| Some(input.survivors[s]))
+                        .collect();
+                    (true, assignment)
+                }
+                // The survivors cannot absorb the fleet within commitments:
+                // fall back to deterministic best-effort packing and let
+                // the slot loop degrade gracefully.
+                Some(((mixed, _), Err(_))) => {
+                    (false, best_effort_assignment(mixed, &input.survivors))
+                }
+                // Every set with survivors has a case above.
+                None => (false, vec![None; n]),
+            }
+        })
+        .collect();
 
     let mut plans = Vec::with_capacity(segments.len());
     for seg in segments {
@@ -979,6 +972,103 @@ mod tests {
     fn normal_placement(cons: &Consolidator, apps: &[ChaosApp]) -> PlacementReport {
         let workloads: Vec<Workload> = apps.iter().map(|a| a.normal_workload.clone()).collect();
         cons.consolidate(&workloads, ObsCtx::none()).unwrap()
+    }
+
+    #[test]
+    fn segment_plans_match_a_fresh_consolidator_per_failed_set() {
+        // Every degraded segment's plan must equal re-placing its mixed
+        // fleet with a fresh consolidator (cold memo, no case dedup), for
+        // both scopes and across thread counts. The schedule repeats a
+        // failed set, overlaps two outages, and under `AllApplications`
+        // maps different failed sets of equal size to one distinct case.
+        let apps = fleet(&[3.0, 4.5, 2.8, 5.0, 3.2, 2.6, 4.7, 3.9, 3.3, 4.1], WEEK);
+        let placement = normal_placement(&consolidator(1), &apps);
+        let servers: Vec<usize> = placement.servers.iter().map(|s| s.server).collect();
+        assert!(servers.len() >= 3, "need three servers, got {servers:?}");
+        let schedule = FailureSchedule::scripted(vec![
+            FailureEvent {
+                server: servers[0],
+                start: 100,
+                duration: 50,
+            },
+            FailureEvent {
+                server: servers[1],
+                start: 300,
+                duration: 50,
+            },
+            FailureEvent {
+                server: servers[2],
+                start: 320,
+                duration: 60,
+            },
+            FailureEvent {
+                server: servers[0],
+                start: 600,
+                duration: 20,
+            },
+        ])
+        .unwrap();
+        let segments = schedule.segments(WEEK);
+        for scope in [FailureScope::AffectedOnly, FailureScope::AllApplications] {
+            let options = ReplayOptions::default().with_scope(scope);
+            for threads in [1, 3] {
+                let cons = consolidator(threads);
+                let plans = segment_plans(
+                    &cons,
+                    &placement,
+                    &apps,
+                    &segments,
+                    &options,
+                    ObsCtx::none(),
+                )
+                .unwrap();
+                for (seg, plan) in segments.iter().zip(&plans) {
+                    if !seg.is_degraded() {
+                        continue;
+                    }
+                    let survivors: Vec<usize> = servers
+                        .iter()
+                        .copied()
+                        .filter(|s| !seg.failed.contains(s))
+                        .collect();
+                    let mixed: Vec<Workload> = apps
+                        .iter()
+                        .enumerate()
+                        .map(|(i, app)| {
+                            let displaced = seg.failed.contains(&placement.assignment[i]);
+                            if scope == FailureScope::AllApplications || displaced {
+                                app.failure_workload.clone()
+                            } else {
+                                app.normal_workload.clone()
+                            }
+                        })
+                        .collect();
+                    let pool = Pool::homogeneous(cons.server(), survivors.len());
+                    match consolidator(1).consolidate_onto(&mixed, pool, ObsCtx::none()) {
+                        Ok(fresh) => {
+                            assert!(plan.feasible);
+                            let expected: Vec<Option<usize>> = fresh
+                                .assignment
+                                .iter()
+                                .map(|&s| Some(survivors[s]))
+                                .collect();
+                            assert_eq!(plan.assignment, expected, "{scope:?} {seg:?}");
+                        }
+                        Err(_) => {
+                            assert!(!plan.feasible);
+                            assert_eq!(plan.assignment, best_effort_assignment(&mixed, &survivors));
+                        }
+                    }
+                }
+                let memo = cons.memo_stats();
+                assert!(memo.entries > 0 && memo.misses > 0);
+                if scope == FailureScope::AllApplications {
+                    // Three failed sets of one server and one of two: the
+                    // all-failure-mode fleet makes two distinct cases.
+                    assert_eq!(memo.distinct_cases, 2);
+                }
+            }
+        }
     }
 
     #[test]

@@ -334,13 +334,18 @@ impl Framework {
         };
         let failure_analysis = {
             let _span = obs.span("pipeline.failure_sweep");
-            analyze_single_failures(
+            let before = consolidator.memo_stats();
+            let analysis = analyze_single_failures(
                 &consolidator,
                 &normal_placement,
                 &normal,
                 &failure,
                 self.failure_scope,
-            )?
+            )?;
+            let memo = consolidator.memo_stats().since(&before);
+            memo.record(obs);
+            obs.counter("pipeline.failure_sweep.distinct_cases", memo.distinct_cases);
+            analysis
         };
         obs.counter(
             "pipeline.failure_sweep.unsupported_cases",

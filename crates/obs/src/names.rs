@@ -27,6 +27,9 @@ pub const PIPELINE_CHAOS_REPLAY: &str = "pipeline.chaos_replay";
 /// Count of failure cases the sweep could not evaluate.
 pub const PIPELINE_FAILURE_SWEEP_UNSUPPORTED_CASES: &str =
     "pipeline.failure_sweep.unsupported_cases";
+/// Count of distinct re-placements the failure sweep solved (identical
+/// cases are solved once).
+pub const PIPELINE_FAILURE_SWEEP_DISTINCT_CASES: &str = "pipeline.failure_sweep.distinct_cases";
 
 // --- qos translation -----------------------------------------------------
 
@@ -55,6 +58,13 @@ pub const PLACEMENT_ENGINE_CACHE_HITS: &str = "placement.engine.cache_hits";
 pub const PLACEMENT_ENGINE_CACHE_MISSES: &str = "placement.engine.cache_misses";
 /// Count of GA generations run.
 pub const PLACEMENT_SEARCH_GENERATIONS: &str = "placement.search.generations";
+/// Gauge: member sets held by a consolidator's shared fit memo (its peak
+/// size; the memo never evicts).
+pub const PLACEMENT_MEMO_ENTRIES: &str = "placement.memo.entries";
+/// Count of fit lookups a stage answered from the shared memo.
+pub const PLACEMENT_MEMO_HITS: &str = "placement.memo.hits";
+/// Count of fit lookups a stage had to compute for the shared memo.
+pub const PLACEMENT_MEMO_MISSES: &str = "placement.memo.misses";
 
 // --- chaos replay --------------------------------------------------------
 
@@ -70,6 +80,9 @@ pub const CHAOS_REPLAY_CARRIED_SLOTS: &str = "chaos.replay.carried_slots";
 pub const CHAOS_REPLAY_CONTENDED_SLOTS: &str = "chaos.replay.contended_slots";
 /// Count of segments whose degraded plan was infeasible.
 pub const CHAOS_REPLAY_INFEASIBLE_SEGMENTS: &str = "chaos.replay.infeasible_segments";
+/// Count of distinct re-placements the replay solved (failed sets with
+/// identical mixed fleets and pools are solved once).
+pub const CHAOS_REPLAY_DISTINCT_CASES: &str = "chaos.replay.distinct_cases";
 /// Event: a failure segment forced a replan.
 pub const CHAOS_SEGMENT_REPLAN: &str = "chaos.segment.replan";
 /// Histogram of recovery-window lengths.
@@ -165,6 +178,7 @@ mod tests {
             super::PIPELINE_FAILURE_SWEEP,
             super::PIPELINE_CHAOS_REPLAY,
             super::PIPELINE_FAILURE_SWEEP_UNSUPPORTED_CASES,
+            super::PIPELINE_FAILURE_SWEEP_DISTINCT_CASES,
             super::QOS_TRANSLATIONS,
             super::QOS_TRANSLATE_RELAXATION,
             super::QOS_TRANSLATE_BREAKPOINT,
@@ -176,12 +190,16 @@ mod tests {
             super::PLACEMENT_ENGINE_CACHE_HITS,
             super::PLACEMENT_ENGINE_CACHE_MISSES,
             super::PLACEMENT_SEARCH_GENERATIONS,
+            super::PLACEMENT_MEMO_ENTRIES,
+            super::PLACEMENT_MEMO_HITS,
+            super::PLACEMENT_MEMO_MISSES,
             super::CHAOS_REPLAY_SLOTS,
             super::CHAOS_REPLAY_PLAN_SEGMENTS,
             super::CHAOS_REPLAY_SHED_SLOTS,
             super::CHAOS_REPLAY_CARRIED_SLOTS,
             super::CHAOS_REPLAY_CONTENDED_SLOTS,
             super::CHAOS_REPLAY_INFEASIBLE_SEGMENTS,
+            super::CHAOS_REPLAY_DISTINCT_CASES,
             super::CHAOS_SEGMENT_REPLAN,
             super::CHAOS_WINDOW_RECOVERY,
             super::WLM_HOST_SATURATION,

@@ -2,12 +2,14 @@
 //! as few servers as possible while honouring the pool's resource access
 //! commitments (§VI-B, producing the Table I columns).
 
+use std::sync::Arc;
+
 use ropus_obs::ObsCtx;
 use serde::{Deserialize, Serialize};
 
 use ropus_qos::PoolCommitments;
 
-use crate::engine::{EngineStats, FitEngine};
+use crate::engine::{parallel_map, EngineStats, FitEngine, FitMemo, MemoStats};
 use crate::ga::{optimize, GaOptions, GaOutcome};
 use crate::greedy::{place, servers_used, GreedyStrategy};
 use crate::server::{Pool, ServerSpec};
@@ -139,17 +141,23 @@ impl PlacementReport {
     }
 }
 
-/// The consolidation service: owns the server type, commitments, and
-/// search options.
-#[derive(Debug, Clone, Copy)]
+/// The consolidation service: owns the server type, commitments, search
+/// options, and the fit memo every engine it builds shares.
+///
+/// The memo lives as long as the consolidator (clones share it), so one
+/// plan or one chaos replay reuses fits across its normal consolidation,
+/// failure cases and re-plans. Nothing long-lived should hold a
+/// consolidator: build one per run.
+#[derive(Debug, Clone)]
 pub struct Consolidator {
     server: ServerSpec,
     commitments: PoolCommitments,
     options: ConsolidationOptions,
+    memo: Arc<FitMemo>,
 }
 
 impl Consolidator {
-    /// Creates a consolidator.
+    /// Creates a consolidator with an empty memo.
     pub fn new(
         server: ServerSpec,
         commitments: PoolCommitments,
@@ -159,6 +167,7 @@ impl Consolidator {
             server,
             commitments,
             options,
+            memo: Arc::new(FitMemo::new()),
         }
     }
 
@@ -177,15 +186,23 @@ impl Consolidator {
         self.options
     }
 
-    /// Builds the search-tolerance fit engine for a fleet.
-    fn engine<'a>(&self, workloads: &'a [Workload]) -> FitEngine<'a> {
-        FitEngine::new(
+    /// The counters of the fit memo shared by every consolidation this
+    /// consolidator has run.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats()
+    }
+
+    /// Builds the search-tolerance fit engine for a fleet on the shared
+    /// memo, with `threads` scoring workers.
+    fn engine<'a>(&self, workloads: &'a [Workload], threads: usize) -> FitEngine<'a> {
+        FitEngine::in_memo(
+            &self.memo,
             workloads,
             self.server,
             self.commitments,
             self.options.ga.capacity_tolerance,
         )
-        .with_threads(self.options.ga.threads)
+        .with_threads(threads)
     }
 
     /// Consolidates the workloads onto as few servers as the search finds,
@@ -205,28 +222,33 @@ impl Consolidator {
         obs: ObsCtx<'_>,
     ) -> Result<PlacementReport, PlacementError> {
         validate_workloads(workloads)?;
-        let evaluator = self.engine(workloads);
-        // Seed with every greedy baseline: FFD bounds the pool size, and
-        // elitism makes the search dominate all of them by construction.
-        let seed_span = obs.span("placement.seed");
-        let ffd = place(&evaluator, GreedyStrategy::FirstFitDecreasing)?;
-        let pool_size = servers_used(&ffd);
-        let mut seeds = vec![ffd];
-        for strategy in GreedyStrategy::ALL {
-            if strategy == GreedyStrategy::FirstFitDecreasing {
-                continue;
-            }
-            if let Ok(seed) = place(&evaluator, strategy) {
-                if servers_used(&seed) <= pool_size {
-                    seeds.push(seed);
+        let threads = self.options.ga.threads;
+        let evaluator = self.engine(workloads, threads);
+        let search = || {
+            // Seed with every greedy baseline: FFD bounds the pool size,
+            // and elitism makes the search dominate all of them by
+            // construction.
+            let seed_span = obs.span("placement.seed");
+            let ffd = place(&evaluator, GreedyStrategy::FirstFitDecreasing)?;
+            let pool_size = servers_used(&ffd);
+            let mut seeds = vec![ffd];
+            for strategy in GreedyStrategy::ALL {
+                if strategy == GreedyStrategy::FirstFitDecreasing {
+                    continue;
+                }
+                if let Ok(seed) = place(&evaluator, strategy) {
+                    if servers_used(&seed) <= pool_size {
+                        seeds.push(seed);
+                    }
                 }
             }
-        }
-        drop(seed_span);
-        let search_span = obs.span("placement.search");
-        let outcome = optimize(&evaluator, &seeds, pool_size, &self.options.ga)?;
-        drop(search_span);
-        self.report(workloads, outcome, obs)
+            drop(seed_span);
+            let _search_span = obs.span("placement.search");
+            optimize(&evaluator, &seeds, pool_size, &self.options.ga)
+        };
+        let outcome = search();
+        self.memo.record_lookups(&evaluator.stats());
+        self.report(workloads, outcome?, threads, obs)
     }
 
     /// Consolidates onto a fixed pool (used by failure planning, where the
@@ -243,23 +265,88 @@ impl Consolidator {
         pool: Pool,
         obs: ObsCtx<'_>,
     ) -> Result<PlacementReport, PlacementError> {
+        self.place_onto(workloads, pool, self.options.ga.threads, obs)
+    }
+
+    /// Re-places many fleets, each onto its own pool, as the failure sweeps
+    /// and chaos re-plans need; results are in input order.
+    ///
+    /// Cases whose fleets have the same content-id vector and whose pools
+    /// are equal are one consolidation, solved once (DESIGN.md §5a). The
+    /// distinct cases fan out over the worker pool; when there are fewer
+    /// of them than threads, each inner search gets the spare threads.
+    /// Every consolidation is deterministic per seed for any thread count,
+    /// so results are bit-identical across `threads` settings.
+    ///
+    /// Inner consolidations run without observability; the shared memo's
+    /// counters ([`memo_stats`](Self::memo_stats)) cover them.
+    pub fn consolidate_cases(
+        &self,
+        cases: &[(Vec<Workload>, Pool)],
+    ) -> Vec<Result<PlacementReport, PlacementError>> {
+        // Each distinct (content ids, pool) key with its first case.
+        let mut distinct: Vec<((Vec<u32>, Pool), usize)> = Vec::new();
+        let case_of: Vec<usize> = cases
+            .iter()
+            .enumerate()
+            .map(|(i, (fleet, pool))| {
+                let key = (self.memo.intern(fleet), *pool);
+                distinct
+                    .iter()
+                    .position(|(k, _)| *k == key)
+                    .unwrap_or_else(|| {
+                        distinct.push((key, i));
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        self.memo.record_cases(distinct.len());
+        let threads = self.options.ga.threads;
+        let outer = threads.min(distinct.len()).max(1);
+        let inner = (threads / outer).max(1);
+        let solved = parallel_map(outer, &distinct, |&(_, i)| {
+            // lint:allow(panic-slice-index): `distinct` holds indices of
+            // `cases`.
+            let (fleet, pool) = &cases[i];
+            self.place_onto(fleet, *pool, inner, ObsCtx::none())
+        });
+        case_of
+            .into_iter()
+            // lint:allow(panic-slice-index): every case maps to one of the
+            // distinct cases solved above.
+            .map(|d| solved[d].clone())
+            .collect()
+    }
+
+    /// [`consolidate_onto`](Self::consolidate_onto) with `threads` engine
+    /// workers.
+    fn place_onto(
+        &self,
+        workloads: &[Workload],
+        pool: Pool,
+        threads: usize,
+        obs: ObsCtx<'_>,
+    ) -> Result<PlacementReport, PlacementError> {
         validate_workloads(workloads)?;
-        let evaluator = self.engine(workloads);
-        let seed_span = obs.span("placement.seed");
-        let ffd = place(&evaluator, GreedyStrategy::FirstFitDecreasing)?;
-        let ffd_servers = servers_used(&ffd);
-        drop(seed_span);
-        let search_span = obs.span("placement.search");
-        let outcome = if ffd_servers > pool.count {
-            // FFD overflowed the pool; fold the excess onto the pool
-            // round-robin and let the search try to repair it.
-            let folded: Vec<usize> = ffd.iter().map(|&s| s % pool.count).collect();
-            optimize(&evaluator, &[folded], pool.count, &self.options.ga)?
-        } else {
-            optimize(&evaluator, &[ffd], pool.count, &self.options.ga)?
+        let evaluator = self.engine(workloads, threads);
+        let search = || {
+            let seed_span = obs.span("placement.seed");
+            let ffd = place(&evaluator, GreedyStrategy::FirstFitDecreasing)?;
+            let ffd_servers = servers_used(&ffd);
+            drop(seed_span);
+            let _search_span = obs.span("placement.search");
+            if ffd_servers > pool.count {
+                // FFD overflowed the pool; fold the excess onto the pool
+                // round-robin and let the search try to repair it.
+                let folded: Vec<usize> = ffd.iter().map(|&s| s % pool.count).collect();
+                optimize(&evaluator, &[folded], pool.count, &self.options.ga)
+            } else {
+                optimize(&evaluator, &[ffd], pool.count, &self.options.ga)
+            }
         };
-        drop(search_span);
-        self.report(workloads, outcome, obs)
+        let outcome = search();
+        self.memo.record_lookups(&evaluator.stats());
+        self.report(workloads, outcome?, threads, obs)
     }
 
     /// Builds the report, recomputing per-server required capacities at
@@ -272,6 +359,7 @@ impl Consolidator {
         &self,
         workloads: &[Workload],
         outcome: GaOutcome,
+        threads: usize,
         obs: ObsCtx<'_>,
     ) -> Result<PlacementReport, PlacementError> {
         let GaOutcome {
@@ -294,7 +382,7 @@ impl Consolidator {
 
         let mut session = EngineSession::new(self.server, self.commitments)
             .with_tolerance(self.options.report_tolerance)
-            .with_threads(self.options.ga.threads)
+            .with_threads(threads)
             .with_assignment(workloads, &assignment)?;
         let servers = session.server_placements()?;
 

@@ -3,16 +3,24 @@
 //! [`FitEngine`] is the one entry point for per-server fit evaluations: it
 //! owns the workload set, the pool's server specs, the pool commitments,
 //! and the binary-search tolerance, and memoizes required-capacity results
-//! behind one cache per *server class* (a distinct [`ServerSpec`]), keyed
-//! by the *sorted set of workload indices* assigned to a server. GA
-//! populations revisit the same server compositions constantly across
-//! generations and restarts, so the cache converts the dominant cost of
-//! consolidation into hash lookups. A homogeneous pool is one class that
-//! every server index maps to; a mixed pool ([`FitEngine::for_servers`])
-//! maps each server to the class of its spec, so identical servers share
-//! cache entries and each server is fitted and scored (`Z`) by its own spec.
+//! in a content-addressed memo: one table per *server class* (a distinct
+//! [`ServerSpec`]), keyed by the *sorted content ids* of the workloads
+//! assigned to a server. GA populations revisit the same server
+//! compositions constantly across generations and restarts, so the memo
+//! converts the dominant cost of consolidation into hash lookups. A
+//! homogeneous pool is one class that every server index maps to; a mixed
+//! pool ([`FitEngine::for_servers`]) maps each server to the class of its
+//! spec, so identical servers share memo entries and each server is fitted
+//! and scored (`Z`) by its own spec.
 //!
-//! The engine is `Sync`: each class cache is a [`Mutex`]ed map and the
+//! An engine built by [`FitEngine::new`] or [`FitEngine::for_servers`]
+//! owns a private memo. Every engine a
+//! [`Consolidator`](crate::consolidate::Consolidator) builds — the normal
+//! consolidation, each failure case, each chaos re-plan — shares the
+//! consolidator's memo instead, so a member set fitted by one is a hit for
+//! all the others (DESIGN.md §5a).
+//!
+//! The engine is `Sync`: each memo table is a [`Mutex`]ed map and the
 //! hit/miss counters are atomics, so whole populations can be scored concurrently
 //! on a scoped worker pool ([`FitEngine::score_assignments`]) with no
 //! `unsafe` and no new dependency. Parallel scoring is *bit-identical* to
@@ -20,15 +28,18 @@
 //! so neither thread interleaving nor cache state can change a result —
 //! only the [`EngineStats`] counters are timing-dependent.
 
-// lint:allow(det-unordered-collection): the memo cache is lookup-only —
-// it is never iterated, so hash order cannot reach any result.
+use std::collections::BTreeMap;
+// lint:allow(det-unordered-collection): the memo tables are lookup-only —
+// they are never iterated, so hash order cannot reach any result.
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use ropus_obs::ObsCtx;
 use serde::{Deserialize, Serialize};
 
 use ropus_qos::PoolCommitments;
+use ropus_trace::Trace;
 
 use crate::score::{assignment_feasible, ScoreModel, ServerOutcome};
 use crate::server::ServerSpec;
@@ -49,6 +60,7 @@ use crate::workload::Workload;
 pub struct FitScratch {
     arena: SlotArena,
     key: Vec<u16>,
+    ids: Vec<u32>,
     buckets: Vec<Vec<u16>>,
 }
 
@@ -94,24 +106,257 @@ impl EngineStats {
     }
 }
 
-// lint:allow(det-unordered-collection): lookup-only cache, never iterated.
-/// One server class's memo: sorted member set → required capacity.
-type FitCache = Mutex<HashMap<Vec<u16>, Option<f64>>>;
+/// Counters of a consolidator's fit memo, summed over every consolidation
+/// the consolidator has run.
+///
+/// `entries` and `distinct_cases` are deterministic per seed: the member
+/// sets a search looks up do not depend on scheduling, and racing inserts
+/// of one key leave one entry. `hits` and `misses` are the searches'
+/// [`EngineStats`] lookups, timing-dependent under parallel scoring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct MemoStats {
+    /// Member sets with a memoized fit, over all server classes. The memo
+    /// never evicts, so this is also its peak size.
+    pub entries: u64,
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that ran the trace-replay binary search.
+    pub misses: u64,
+    /// Distinct re-placement cases solved through
+    /// [`Consolidator::consolidate_cases`](crate::consolidate::Consolidator::consolidate_cases).
+    pub distinct_cases: u64,
+}
+
+impl MemoStats {
+    /// The hits, misses and distinct cases recorded since `earlier`, with
+    /// the current entry count (the memo only grows).
+    pub fn since(&self, earlier: &MemoStats) -> MemoStats {
+        MemoStats {
+            entries: self.entries,
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
+            distinct_cases: self.distinct_cases.saturating_sub(earlier.distinct_cases),
+        }
+    }
+
+    /// Records the memo counters on `obs`: the entry count as a gauge (a
+    /// level, not a sum), hits and misses on the timing channel. Distinct
+    /// cases are left to the caller, which names them after its own stage.
+    pub fn record(&self, obs: ObsCtx<'_>) {
+        obs.gauge("placement.memo.entries", self.entries as f64);
+        obs.timing_counter("placement.memo.hits", self.hits);
+        obs.timing_counter("placement.memo.misses", self.misses);
+    }
+}
+
+/// One server class's memo table: sorted content ids → required capacity,
+/// valid for one (spec, commitments, tolerance) scope.
+#[derive(Debug)]
+struct FitTable {
+    spec: ServerSpec,
+    commitments: PoolCommitments,
+    tolerance: f64,
+    // Boxed-slice keys, one word smaller than a Vec: the memo never
+    // evicts, so every entry's size lasts the consolidator's lifetime.
+    // lint:allow(det-unordered-collection): lookup-only table, never
+    // iterated.
+    fits: Mutex<HashMap<Box<[u32]>, Option<f64>>>,
+}
+
+impl FitTable {
+    fn new(spec: ServerSpec, commitments: PoolCommitments, tolerance: f64) -> Self {
+        FitTable {
+            spec,
+            commitments,
+            tolerance,
+            // lint:allow(det-unordered-collection): lookup-only table.
+            fits: Mutex::new(HashMap::new()),
+        }
+    }
+}
+
+/// Content-id allocator: workloads with the same name and bitwise-equal
+/// content share an id.
+#[derive(Default)]
+struct Interner {
+    next: u32,
+    /// Every interned workload, grouped by name, with its id.
+    by_name: BTreeMap<String, Vec<(u32, Workload)>>,
+}
+
+impl Interner {
+    fn fresh(&mut self) -> u32 {
+        let id = self.next;
+        // lint:allow(panic-expect): four billion workloads interned by one
+        // consolidator is not a reachable state.
+        self.next = id.checked_add(1).expect("content ids exhausted");
+        id
+    }
+
+    fn id_of(&mut self, workload: &Workload) -> u32 {
+        if let Some(twins) = self.by_name.get(workload.name()) {
+            if let Some(&(id, _)) = twins.iter().find(|(_, w)| same_content(w, workload)) {
+                return id;
+            }
+        }
+        let id = self.fresh();
+        self.by_name
+            .entry(workload.name().to_owned())
+            .or_default()
+            .push((id, workload.clone()));
+        id
+    }
+}
+
+/// Whether two workloads are interchangeable inside any fit: same name
+/// (member order in the sum tree follows names) and bitwise-equal traces
+/// and peaks. Bitwise, not `Trace::eq`, which treats `-0.0 == +0.0` while
+/// the zero-CoS1 fast path does not.
+fn same_content(a: &Workload, b: &Workload) -> bool {
+    a.name() == b.name()
+        && a.cos1_peak().to_bits() == b.cos1_peak().to_bits()
+        && a.total_peak().to_bits() == b.total_peak().to_bits()
+        && same_bits(a.cos1(), b.cos1())
+        && same_bits(a.cos2(), b.cos2())
+        && match (a.memory(), b.memory()) {
+            (None, None) => true,
+            (Some(x), Some(y)) => same_bits(x, y),
+            _ => false,
+        }
+}
+
+/// Bitwise trace equality. A clone shares its buffer and window (one
+/// pointer-and-length compare of the sample slices); only separately
+/// allocated twins compare sample by sample.
+fn same_bits(a: &Trace, b: &Trace) -> bool {
+    let (x, y) = (a.samples(), b.samples());
+    a.calendar() == b.calendar()
+        && (std::ptr::eq(x, y)
+            || (x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())))
+}
+
+/// A content-addressed fit memo, shared by every [`FitEngine`] built
+/// [`in_memo`](FitEngine::in_memo) it; [`FitEngine::new`] makes a private
+/// one.
+///
+/// Each workload gets a *content id*: its name plus the bits of its CoS1,
+/// CoS2 and memory traces. A member set's key is the sorted ids of its
+/// members, so two engines over different fleets — or different index
+/// orders of one fleet — share every fit whose member contents agree.
+/// That is exact because the aggregate orders members by name: with
+/// unique names it is a function of the content set alone. A fleet with a
+/// repeated name gets fresh ids in index order instead, which are never
+/// shared, so its fits are exactly a fresh engine's (DESIGN.md §5a).
+///
+/// Tables are scoped by (server spec, commitments, tolerance), so engines
+/// with different search settings never read each other's results.
+#[derive(Default)]
+pub(crate) struct FitMemo {
+    interner: Mutex<Interner>,
+    tables: Mutex<Vec<Arc<FitTable>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    distinct_cases: AtomicU64,
+}
+
+/// Prints the counters only: the interner holds whole fleets' traces.
+impl std::fmt::Debug for FitMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FitMemo")
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+impl FitMemo {
+    /// An empty memo.
+    pub(crate) fn new() -> Self {
+        FitMemo::default()
+    }
+
+    /// The content id of each workload of a fleet, allocating ids for
+    /// contents not seen before. A fleet with a repeated name gets fresh,
+    /// never-shared ids in index order.
+    pub(crate) fn intern(&self, workloads: &[Workload]) -> Vec<u32> {
+        // lint:allow(panic-expect): a poisoned mutex means an interning
+        // thread already panicked; propagating is the only sound move.
+        let mut interner = self.interner.lock().expect("fit memo poisoned");
+        let mut names: Vec<&str> = workloads.iter().map(Workload::name).collect();
+        names.sort_unstable();
+        if names.windows(2).any(|pair| pair[0] == pair[1]) {
+            return workloads.iter().map(|_| interner.fresh()).collect();
+        }
+        workloads.iter().map(|w| interner.id_of(w)).collect()
+    }
+
+    /// The table of one (spec, commitments, tolerance) scope, created on
+    /// first use.
+    fn table(
+        &self,
+        spec: ServerSpec,
+        commitments: PoolCommitments,
+        tolerance: f64,
+    ) -> Arc<FitTable> {
+        // lint:allow(panic-expect): see the poisoning note on `intern`.
+        let mut tables = self.tables.lock().expect("fit memo poisoned");
+        if let Some(table) = tables.iter().find(|t| {
+            t.spec == spec
+                && t.commitments == commitments
+                && t.tolerance.to_bits() == tolerance.to_bits()
+        }) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(FitTable::new(spec, commitments, tolerance));
+        tables.push(Arc::clone(&table));
+        table
+    }
+
+    /// Counts `cases` distinct re-placement cases as solved.
+    pub(crate) fn record_cases(&self, cases: usize) {
+        self.distinct_cases
+            .fetch_add(cases as u64, Ordering::Relaxed);
+    }
+
+    /// Adds one finished engine's lookups to the memo's hit/miss counts.
+    pub(crate) fn record_lookups(&self, stats: &EngineStats) {
+        self.hits.fetch_add(stats.cache_hits, Ordering::Relaxed);
+        self.misses.fetch_add(stats.cache_misses, Ordering::Relaxed);
+    }
+
+    /// A snapshot of the memo's counters over all its tables.
+    pub(crate) fn stats(&self) -> MemoStats {
+        // lint:allow(panic-expect): see the poisoning note on `intern`.
+        let tables = self.tables.lock().expect("fit memo poisoned");
+        let entries: usize = tables
+            .iter()
+            // lint:allow(panic-expect): a poisoned mutex means a scoring
+            // worker already panicked; propagating is the only sound move.
+            .map(|table| table.fits.lock().expect("fit memo poisoned").len())
+            .sum();
+        MemoStats {
+            entries: entries as u64,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            distinct_cases: self.distinct_cases.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// Memoizing, optionally parallel per-server fit engine shared by the GA,
 /// the greedy baselines, and the consolidation reports.
 ///
 /// Construct with [`FitEngine::new`] (a homogeneous pool) or
 /// [`FitEngine::for_servers`] (an explicit, possibly mixed server list),
-/// then tune with the consuming builders
-/// [`with_threads`](Self::with_threads) and
+/// then tune with the consuming builders [`with_threads`](Self::with_threads) and
 /// [`with_score_model`](Self::with_score_model).
 #[derive(Debug)]
 pub struct FitEngine<'a> {
     workloads: &'a [Workload],
-    /// One entry per server class (distinct spec): the spec and its memo
-    /// cache. A homogeneous engine has one class.
-    classes: Vec<(ServerSpec, FitCache)>,
+    /// Content id of each workload, in the memo the tables belong to.
+    ids: Vec<u32>,
+    /// One memo table per server class (distinct spec). A homogeneous
+    /// engine has one class.
+    classes: Vec<Arc<FitTable>>,
     /// Class of each server of an explicit pool list. Empty for a
     /// homogeneous engine, whose every server index maps to class 0.
     server_class: Vec<usize>,
@@ -125,7 +370,7 @@ pub struct FitEngine<'a> {
 
 impl<'a> FitEngine<'a> {
     /// Creates an engine over a fixed workload set and a homogeneous pool
-    /// of `server`s, of any size.
+    /// of `server`s, of any size, with a private memo.
     ///
     /// Defaults: serial evaluation (one thread), the paper's
     /// `f(U) = U^(2Z)` score model.
@@ -140,12 +385,38 @@ impl<'a> FitEngine<'a> {
         commitments: PoolCommitments,
         tolerance: f64,
     ) -> Self {
-        Self::with_classes(workloads, vec![server], Vec::new(), commitments, tolerance)
+        Self::in_memo(&FitMemo::new(), workloads, server, commitments, tolerance)
     }
 
-    /// Creates an engine over an explicit pool: server `i` has spec
-    /// `servers[i]`. Identical specs form one class and share cache
-    /// entries, so a uniform list behaves exactly like [`FitEngine::new`].
+    /// [`FitEngine::new`] on a shared memo: fits are keyed by the
+    /// workloads' content ids in `memo`, so every engine built in the same
+    /// memo with the same server, commitments and tolerance reuses the
+    /// others' results.
+    ///
+    /// # Panics
+    ///
+    /// As for [`FitEngine::new`].
+    pub(crate) fn in_memo(
+        memo: &FitMemo,
+        workloads: &'a [Workload],
+        server: ServerSpec,
+        commitments: PoolCommitments,
+        tolerance: f64,
+    ) -> Self {
+        Self::with_classes(
+            memo,
+            workloads,
+            vec![server],
+            Vec::new(),
+            commitments,
+            tolerance,
+        )
+    }
+
+    /// Creates an engine over an explicit pool, with a private memo:
+    /// server `i` has spec `servers[i]`. Identical specs form one class and
+    /// share memo entries, so a uniform list behaves exactly like
+    /// [`FitEngine::new`].
     ///
     /// # Panics
     ///
@@ -169,10 +440,20 @@ impl<'a> FitEngine<'a> {
                 }
             })
             .collect();
-        Self::with_classes(workloads, classes, server_class, commitments, tolerance)
+        Self::with_classes(
+            &FitMemo::new(),
+            workloads,
+            classes,
+            server_class,
+            commitments,
+            tolerance,
+        )
     }
 
+    /// Builds the engine on `memo`'s tables, which outlive `memo` itself:
+    /// a fresh memo gives index-order ids that no other engine shares.
     fn with_classes(
+        memo: &FitMemo,
         workloads: &'a [Workload],
         classes: Vec<ServerSpec>,
         server_class: Vec<usize>,
@@ -183,11 +464,10 @@ impl<'a> FitEngine<'a> {
         assert!(tolerance > 0.0, "tolerance must be positive");
         FitEngine {
             workloads,
+            ids: memo.intern(workloads),
             classes: classes
                 .into_iter()
-                // lint:allow(det-unordered-collection): lookup-only caches,
-                // never iterated.
-                .map(|spec| (spec, Mutex::new(HashMap::new())))
+                .map(|spec| memo.table(spec, commitments, tolerance))
                 .collect(),
             server_class,
             commitments,
@@ -230,11 +510,11 @@ impl<'a> FitEngine<'a> {
     ///
     /// Panics if `server` is outside an explicit pool list.
     pub fn server(&self, server: usize) -> ServerSpec {
-        self.class(server).0
+        self.class(server).spec
     }
 
-    /// The class (spec and memo cache) of server `server`.
-    fn class(&self, server: usize) -> &(ServerSpec, FitCache) {
+    /// The memo table of server `server`'s class.
+    fn class(&self, server: usize) -> &FitTable {
         let class = if self.server_class.is_empty() {
             0
         } else {
@@ -281,10 +561,10 @@ impl<'a> FitEngine<'a> {
 
     /// Required capacity for a set of workload indices on server `server`,
     /// or `None` when they do not fit at that server's limit. Results are
-    /// memoized by (server class, sorted member set) — sound because the
-    /// workloads' sample buffers are immutable after construction
-    /// (DESIGN.md §5c), so a member set identifies its traces for the
-    /// engine's lifetime.
+    /// memoized by (server class, sorted member content ids) — sound
+    /// because the workloads' sample buffers are immutable after
+    /// construction (DESIGN.md §5c), so a content id identifies its traces
+    /// for the memo's lifetime.
     ///
     /// # Panics
     ///
@@ -294,35 +574,47 @@ impl<'a> FitEngine<'a> {
     }
 
     /// [`server_required`](Self::server_required) with caller-provided
-    /// scratch: cache misses build their transient aggregate from the
-    /// scratch arena's pooled buffers and recycle it afterwards, so a
-    /// loop holding one scratch evaluates allocation-free after warm-up.
+    /// scratch: the memo key is built in the scratch, so a hit allocates
+    /// nothing, and misses build their transient aggregate from the
+    /// scratch arena's pooled buffers and recycle it afterwards, so a loop
+    /// holding one scratch evaluates allocation-free after warm-up.
     pub fn server_required_scratch(
         &self,
         server: usize,
         members: &[u16],
         scratch: &mut FitScratch,
     ) -> Option<f64> {
-        let (spec, cache) = self.class(server);
-        scratch.key.clear();
-        scratch.key.extend_from_slice(members);
-        scratch.key.sort_unstable();
-        if let Some(hit) = cache
+        let table = self.class(server);
+        scratch.ids.clear();
+        for &i in members {
+            // lint:allow(panic-slice-index): out-of-range member indices
+            // are a caller bug, not a recoverable state.
+            scratch.ids.push(self.ids[i as usize]);
+        }
+        scratch.ids.sort_unstable();
+        if let Some(hit) = table
+            .fits
             .lock()
             // lint:allow(panic-expect): a poisoned mutex means a scoring
             // worker already panicked; propagating is the only sound move.
-            .expect("fit cache poisoned")
-            .get(&scratch.key)
+            .expect("fit memo poisoned")
+            .get(scratch.ids.as_slice())
         {
             saturating_inc(&self.hits);
             return *hit;
         }
         saturating_inc(&self.misses);
+        // The aggregate takes members in index order: with unique names
+        // the order cannot matter, and a fleet with a repeated name has
+        // its ids in index order, so the key and the aggregate agree.
+        scratch.key.clear();
+        scratch.key.extend_from_slice(members);
+        scratch.key.sort_unstable();
         let refs: Vec<&Workload> = scratch
             .key
             .iter()
-            // lint:allow(panic-slice-index): out-of-range member indices
-            // are a caller bug, not a recoverable state.
+            // lint:allow(panic-slice-index): indices were checked against
+            // the id map above.
             .map(|&i| &self.workloads[i as usize])
             .collect();
         let load = AggregateLoad::of_pooled(&refs, &mut scratch.arena)
@@ -332,16 +624,17 @@ impl<'a> FitEngine<'a> {
         let result = FitRequest::new(&load, &self.commitments)
             .with_options(
                 FitOptions::new()
-                    .with_memory_capacity(spec.memory_gb())
+                    .with_memory_capacity(table.spec.memory_gb())
                     .with_tolerance(self.tolerance),
             )
-            .required_capacity(spec.capacity());
+            .required_capacity(table.spec.capacity());
         load.recycle(&mut scratch.arena);
-        cache
+        table
+            .fits
             .lock()
             // lint:allow(panic-expect): see the lock note above.
-            .expect("fit cache poisoned")
-            .insert(scratch.key.clone(), result);
+            .expect("fit memo poisoned")
+            .insert(scratch.ids.as_slice().into(), result);
         result
     }
 
@@ -555,6 +848,132 @@ mod tests {
                 .unwrap()
             })
             .collect()
+    }
+
+    /// A workload with a daily ramp in each class, scaled per class.
+    fn ramp(name: &str, cos1: f64, cos2: f64) -> Workload {
+        let per_day = cal().slots_per_day();
+        let samples = |scale: f64| -> Vec<f64> {
+            (0..cal().slots_per_week())
+                .map(|i| scale * (1.0 + (i % per_day) as f64 / per_day as f64))
+                .collect()
+        };
+        Workload::new(
+            name,
+            Trace::from_samples(cal(), samples(cos1)).unwrap(),
+            Trace::from_samples(cal(), samples(cos2)).unwrap(),
+        )
+        .unwrap()
+    }
+
+    /// Direct, unmemoized fit of `members` (index order) on a 16-way.
+    fn oracle(fleet: &[Workload], members: &[u16], commitments: &PoolCommitments) -> Option<f64> {
+        let refs: Vec<&Workload> = members.iter().map(|&i| &fleet[i as usize]).collect();
+        let load = AggregateLoad::of(&refs).unwrap();
+        let spec = ServerSpec::sixteen_way();
+        FitRequest::new(&load, commitments)
+            .with_options(
+                FitOptions::new()
+                    .with_memory_capacity(spec.memory_gb())
+                    .with_tolerance(0.05),
+            )
+            .required_capacity(spec.capacity())
+    }
+
+    #[test]
+    fn interning_tells_signed_zeros_apart() {
+        let n = cal().slots_per_week();
+        let cos2 = Trace::constant(cal(), 2.0, n).unwrap();
+        let positive =
+            Workload::new("w", Trace::constant(cal(), 0.0, n).unwrap(), cos2.clone()).unwrap();
+        let negative = Workload::new(
+            "w",
+            Trace::from_samples(cal(), vec![-0.0; n]).unwrap(),
+            cos2,
+        )
+        .unwrap();
+        // `Trace::eq` cannot tell the zeros apart; the zero-CoS1 fast
+        // path can, so the two must not share fits.
+        assert_eq!(positive, negative);
+        assert!(positive.cos1_is_zero() && !negative.cos1_is_zero());
+        let memo = FitMemo::new();
+        assert_ne!(memo.intern(&[positive]), memo.intern(&[negative]));
+    }
+
+    #[test]
+    fn separately_allocated_twins_share_one_id() {
+        let a = ramp("a", 1.0, 2.0);
+        let twin = ramp("a", 1.0, 2.0);
+        assert!(!a.cos1().shares_buffer(twin.cos1()));
+        let memo = FitMemo::new();
+        let ids = memo.intern(&[a.clone(), ramp("b", 1.0, 2.0)]);
+        assert_ne!(ids[0], ids[1], "the name is part of the content id");
+        assert_eq!(memo.intern(&[twin]), [ids[0]], "bitwise twin");
+        assert_eq!(memo.intern(&[a]), [ids[0]], "clone");
+        assert_ne!(memo.intern(&[ramp("a", 1.0, 2.5)]), [ids[0]]);
+        // Two engines over the twins answer each other's member sets.
+        let commitments = commitments(0.9);
+        let first = [ramp("a", 1.0, 2.0), ramp("b", 0.5, 3.0)];
+        let second = [ramp("b", 0.5, 3.0), ramp("a", 1.0, 2.0)];
+        let warm = FitEngine::in_memo(&memo, &first, ServerSpec::sixteen_way(), commitments, 0.05);
+        let reuse =
+            FitEngine::in_memo(&memo, &second, ServerSpec::sixteen_way(), commitments, 0.05);
+        let cold = warm.server_required(0, &[0, 1]);
+        assert_eq!(
+            reuse.server_required(0, &[1, 0]).map(f64::to_bits),
+            cold.map(f64::to_bits)
+        );
+        assert_eq!(reuse.stats().cache_hits, 1);
+        assert_eq!(reuse.stats().cache_misses, 0);
+        assert_eq!(
+            cold.map(f64::to_bits),
+            oracle(&first, &[0, 1], &commitments).map(f64::to_bits)
+        );
+    }
+
+    #[test]
+    fn repeated_names_get_fresh_ids_and_reproduce_a_private_engine() {
+        let fleet = [
+            ramp("a", 0.3, 1.1),
+            ramp("b", 0.2, 2.3),
+            ramp("a", 0.1, 1.7),
+            ramp("a", 0.4, 0.9),
+        ];
+        let reversed: Vec<Workload> = fleet.iter().rev().cloned().collect();
+        let memo = FitMemo::new();
+        let first = memo.intern(&fleet);
+        let second = memo.intern(&fleet);
+        assert!(first.windows(2).all(|w| w[0] < w[1]), "index order");
+        assert!(first.iter().all(|id| !second.contains(id)), "never shared");
+
+        let commitments = commitments(0.9);
+        let subsets: Vec<Vec<u16>> = (1u16..16)
+            .map(|mask| (0..4).filter(|i| mask & (1 << i) != 0).collect())
+            .collect();
+        // Warm the memo with the same contents in another index order.
+        let warm = FitEngine::in_memo(
+            &memo,
+            &reversed,
+            ServerSpec::sixteen_way(),
+            commitments,
+            0.05,
+        );
+        for set in &subsets {
+            let _ = warm.server_required(0, set);
+        }
+        let shared =
+            FitEngine::in_memo(&memo, &fleet, ServerSpec::sixteen_way(), commitments, 0.05);
+        let private = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments, 0.05);
+        for set in &subsets {
+            let got = shared.server_required(0, set).map(f64::to_bits);
+            assert_eq!(got, private.server_required(0, set).map(f64::to_bits));
+            assert_eq!(got, oracle(&fleet, set, &commitments).map(f64::to_bits));
+        }
+        assert_eq!(
+            shared.stats().cache_hits,
+            0,
+            "no fit crosses fleets with a repeated name"
+        );
     }
 
     #[test]

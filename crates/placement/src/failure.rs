@@ -8,29 +8,12 @@
 //! otherwise the pool needs a spare (or stronger failure-mode QoS
 //! concessions).
 
-use ropus_obs::ObsCtx;
 use serde::{Deserialize, Serialize};
 
 use crate::consolidate::{Consolidator, PlacementReport};
-use crate::engine::parallel_map;
 use crate::server::Pool;
 use crate::workload::Workload;
 use crate::PlacementError;
-
-/// A consolidator suitable for running one failure case inside the sweep's
-/// worker pool: when the sweep itself is parallel, each inner
-/// consolidation runs serially so worker pools do not nest.
-fn case_worker(consolidator: &Consolidator, threads: usize) -> Consolidator {
-    if threads > 1 {
-        Consolidator::new(
-            consolidator.server(),
-            consolidator.commitments(),
-            consolidator.options().with_threads(1),
-        )
-    } else {
-        *consolidator
-    }
-}
 
 /// Which applications fall back to failure-mode QoS after a failure.
 ///
@@ -141,8 +124,9 @@ impl MultiFailureAnalysis {
 /// paper's §III remark that the single-failure scenario "can be extended
 /// to multiple node failures".
 ///
-/// The number of cases is `C(servers_used, simultaneous)`; each runs a
-/// full consolidation, so keep `simultaneous` small for large pools.
+/// The number of cases is `C(servers_used, simultaneous)`; each distinct
+/// case runs a full consolidation, so keep `simultaneous` small for large
+/// pools.
 ///
 /// # Errors
 ///
@@ -171,9 +155,9 @@ pub fn analyze_multi_failures(
         });
     }
 
-    // Build every case's inputs serially, then re-place the independent
-    // cases on the sweep's worker pool.
-    let mut inputs: Vec<(Vec<usize>, Vec<usize>, Vec<Workload>)> = Vec::new();
+    let survivors = Pool::homogeneous(consolidator.server(), used - simultaneous);
+    let mut cases: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+    let mut inputs: Vec<(Vec<Workload>, Pool)> = Vec::new();
     for combo in combinations(normal_report.servers.len(), simultaneous) {
         let failed_servers: Vec<usize> = combo
             .iter()
@@ -183,34 +167,19 @@ pub fn analyze_multi_failures(
             .iter()
             .flat_map(|&i| normal_report.servers[i].workloads.iter().copied())
             .collect();
-        let mixed: Vec<Workload> = normal
-            .iter()
-            .enumerate()
-            .map(|(i, w)| match scope {
-                FailureScope::AllApplications => failure[i].clone(),
-                FailureScope::AffectedOnly if affected.contains(&i) => failure[i].clone(),
-                FailureScope::AffectedOnly => w.clone(),
-            })
-            .collect();
-        inputs.push((failed_servers, affected, mixed));
+        inputs.push((mixed_fleet(normal, failure, &affected, scope), survivors));
+        cases.push((failed_servers, affected));
     }
 
-    let threads = consolidator.options().ga.threads;
-    let worker = case_worker(consolidator, threads);
-    let pool = Pool::homogeneous(consolidator.server(), used - simultaneous);
-    let placements = parallel_map(threads, &inputs, |(_, _, mixed)| {
-        worker.consolidate_onto(mixed, pool, ObsCtx::none()).ok()
-    });
-    let cases = inputs
+    let placements = consolidator.consolidate_cases(&inputs);
+    let cases = cases
         .into_iter()
         .zip(placements)
-        .map(
-            |((failed_servers, affected, _), placement)| MultiFailureCase {
-                failed_servers,
-                affected,
-                placement,
-            },
-        )
+        .map(|((failed_servers, affected), placement)| MultiFailureCase {
+            failed_servers,
+            affected,
+            placement: placement.ok(),
+        })
         .collect();
 
     Ok(MultiFailureAnalysis {
@@ -218,6 +187,28 @@ pub fn analyze_multi_failures(
         simultaneous,
         normal_servers: used,
     })
+}
+
+/// The fleet after a failure: each application in failure mode when
+/// `scope` relaxes it (every application, or only the `affected` ones),
+/// in normal mode otherwise. `normal[i]` and `failure[i]` are application
+/// `i`'s two translations; `affected` holds application indices.
+pub fn mixed_fleet(
+    normal: &[Workload],
+    failure: &[Workload],
+    affected: &[usize],
+    scope: FailureScope,
+) -> Vec<Workload> {
+    normal
+        .iter()
+        .zip(failure)
+        .enumerate()
+        .map(|(i, (n, f))| match scope {
+            FailureScope::AllApplications => f.clone(),
+            FailureScope::AffectedOnly if affected.contains(&i) => f.clone(),
+            FailureScope::AffectedOnly => n.clone(),
+        })
+        .collect()
 }
 
 /// All `k`-element index combinations of `0..n`, in lexicographic order.
@@ -275,40 +266,31 @@ pub fn analyze_single_failures(
         });
     }
 
-    // The sweep is embarrassingly parallel: each case re-consolidates an
-    // independent workload mix. Build the inputs serially (cheap clones),
-    // then fan the consolidations out over the worker pool.
-    let mut inputs: Vec<(usize, Vec<usize>, Vec<Workload>)> = Vec::new();
-    for server_placement in &normal_report.servers {
-        let affected = server_placement.workloads.clone();
-        let mixed: Vec<Workload> = normal
+    // Each case re-consolidates the whole fleet, with the failed server's
+    // applications (or all of them) in failure mode, onto the survivors.
+    // A single-server pool has no survivors: every case is unsupported.
+    let placements: Vec<Option<PlacementReport>> = if normal_report.servers_used <= 1 {
+        vec![None; normal_report.servers.len()]
+    } else {
+        let survivors = Pool::homogeneous(consolidator.server(), normal_report.servers_used - 1);
+        let inputs: Vec<(Vec<Workload>, Pool)> = normal_report
+            .servers
             .iter()
-            .enumerate()
-            .map(|(i, w)| match scope {
-                FailureScope::AllApplications => failure[i].clone(),
-                FailureScope::AffectedOnly if affected.contains(&i) => failure[i].clone(),
-                FailureScope::AffectedOnly => w.clone(),
-            })
+            .map(|s| (mixed_fleet(normal, failure, &s.workloads, scope), survivors))
             .collect();
-        inputs.push((server_placement.server, affected, mixed));
-    }
-
-    let threads = consolidator.options().ga.threads;
-    let worker = case_worker(consolidator, threads);
-    let placements = parallel_map(threads, &inputs, |(_, _, mixed)| {
-        if normal_report.servers_used <= 1 {
-            None
-        } else {
-            let pool = Pool::homogeneous(consolidator.server(), normal_report.servers_used - 1);
-            worker.consolidate_onto(mixed, pool, ObsCtx::none()).ok()
-        }
-    });
-    let cases = inputs
-        .into_iter()
+        consolidator
+            .consolidate_cases(&inputs)
+            .into_iter()
+            .map(Result::ok)
+            .collect()
+    };
+    let cases = normal_report
+        .servers
+        .iter()
         .zip(placements)
-        .map(|((failed_server, affected, _), placement)| FailureCase {
-            failed_server,
-            affected,
+        .map(|(server_placement, placement)| FailureCase {
+            failed_server: server_placement.server,
+            affected: server_placement.workloads.clone(),
             placement,
         })
         .collect();
@@ -324,6 +306,7 @@ mod tests {
     use super::*;
     use crate::consolidate::ConsolidationOptions;
     use crate::server::ServerSpec;
+    use ropus_obs::ObsCtx;
     use ropus_qos::{CosSpec, PoolCommitments};
     use ropus_trace::{Calendar, Trace};
 

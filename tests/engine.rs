@@ -286,3 +286,177 @@ mod cached_matches_uncached {
         }
     }
 }
+
+/// A consolidator's memo is shared by every consolidation it runs: fits
+/// warmed by one fleet must never change another's result, and the
+/// distinct-case fan-out must reproduce a cold consolidator per case.
+mod warm_memo_matches_cold {
+    use super::*;
+    use proptest::prelude::*;
+    use ropus_placement::failure::{analyze_multi_failures, analyze_single_failures};
+
+    fn hourly() -> Calendar {
+        Calendar::new(60).unwrap()
+    }
+
+    /// An app with a constant CoS1 floor and a six-hour daily CoS2 burst.
+    fn app(name: String, (floor, burst, phase): (f64, f64, usize)) -> Workload {
+        let cos2: Vec<f64> = (0..168)
+            .map(|h| {
+                if (h + phase) % 24 < 6 {
+                    burst
+                } else {
+                    burst * 0.25
+                }
+            })
+            .collect();
+        Workload::new(
+            name,
+            Trace::constant(hourly(), floor, 168).unwrap(),
+            Trace::from_samples(hourly(), cos2).unwrap(),
+        )
+        .unwrap()
+    }
+
+    fn consolidator(threads: usize) -> Consolidator {
+        Consolidator::new(
+            ServerSpec::sixteen_way(),
+            PoolCommitments::new(CosSpec::new(0.9, 60).unwrap()),
+            ConsolidationOptions::fast(5).with_threads(threads),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn consolidate_onto_a_warm_memo_matches_a_cold_consolidator(
+            shapes in proptest::collection::vec((0.0f64..1.5, 0.5f64..6.0, 0usize..24), 4..9),
+            keep in proptest::collection::vec(0u8..4, 9),
+            servers in 2usize..4,
+        ) {
+            // The second fleet overlaps the first in reverse order: each
+            // app is a clone (shared buffers), a separately allocated
+            // twin, a new app, or a same-named app with new content.
+            let first: Vec<Workload> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| app(format!("a{i}"), s))
+                .collect();
+            let second: Vec<Workload> = shapes
+                .iter()
+                .enumerate()
+                .rev()
+                .map(|(i, &s)| match keep[i] {
+                    0 => first[i].clone(),
+                    1 => app(format!("a{i}"), s),
+                    2 => app(format!("b{i}"), (s.0 * 0.5, s.1 + 0.5, s.2 + 3)),
+                    _ => app(format!("a{i}"), (s.0, s.1 * 1.5, s.2)),
+                })
+                .collect();
+            let pool = Pool::homogeneous(ServerSpec::sixteen_way(), servers);
+            let warm = consolidator(1);
+            let _ = warm.consolidate_onto(&first, pool, ObsCtx::none());
+            let before = warm.memo_stats();
+            let reused = warm.consolidate_onto(&second, pool, ObsCtx::none());
+            let cold = consolidator(1).consolidate_onto(&second, pool, ObsCtx::none());
+            prop_assert_eq!(reused, cold);
+            prop_assert!(warm.memo_stats().entries >= before.entries);
+        }
+    }
+
+    /// The failure-mode fleet of one app: a separately allocated twin of
+    /// its normal workload (so content ids, not buffers, must match it),
+    /// or a shrunk one.
+    fn failure_fleet(shapes: &[(f64, f64, usize)], shrink: bool) -> Vec<Workload> {
+        shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(floor, burst, phase))| {
+                let shape = if shrink && i % 2 == 0 {
+                    (0.0, burst * 0.6, phase)
+                } else {
+                    (floor, burst, phase)
+                };
+                app(format!("a{i}"), shape)
+            })
+            .collect()
+    }
+
+    fn mixed(
+        normal: &[Workload],
+        failure: &[Workload],
+        affected: &[usize],
+        scope: FailureScope,
+    ) -> Vec<Workload> {
+        (0..normal.len())
+            .map(|i| {
+                if scope == FailureScope::AllApplications || affected.contains(&i) {
+                    failure[i].clone()
+                } else {
+                    normal[i].clone()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn failure_sweeps_match_a_per_case_loop_of_fresh_consolidators() {
+        let shapes: Vec<(f64, f64, usize)> = (0..12)
+            .map(|i| (0.8 + 0.1 * i as f64, 5.0 + 0.6 * (i % 4) as f64, 2 * i))
+            .collect();
+        let normal: Vec<Workload> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| app(format!("a{i}"), s))
+            .collect();
+        let fresh = |fleet: &[Workload], servers: usize| {
+            let pool = Pool::homogeneous(ServerSpec::sixteen_way(), servers);
+            consolidator(1)
+                .consolidate_onto(fleet, pool, ObsCtx::none())
+                .ok()
+        };
+        for shrink in [false, true] {
+            let failure = failure_fleet(&shapes, shrink);
+            for threads in [1, 3] {
+                let c = consolidator(threads);
+                let report = c.consolidate(&normal, ObsCtx::none()).unwrap();
+                let used = report.servers_used;
+                assert!(used >= 3, "need three servers, got {used}");
+                for scope in [FailureScope::AffectedOnly, FailureScope::AllApplications] {
+                    let before = c.memo_stats();
+                    let single =
+                        analyze_single_failures(&c, &report, &normal, &failure, scope).unwrap();
+                    let sweep = c.memo_stats().since(&before);
+                    assert_eq!(single.cases.len(), used);
+                    for (case, server) in single.cases.iter().zip(&report.servers) {
+                        let fleet = mixed(&normal, &failure, &server.workloads, scope);
+                        assert_eq!(case.placement, fresh(&fleet, used - 1), "{scope:?}");
+                    }
+                    // Bit-identical twins make every case one consolidation,
+                    // as do all-applications sweeps.
+                    if !shrink || scope == FailureScope::AllApplications {
+                        assert_eq!(sweep.distinct_cases, 1, "{scope:?} shrink {shrink}");
+                    } else {
+                        // Only the shrunk (even) apps tell cases apart.
+                        let mut shrunk: Vec<Vec<usize>> = report
+                            .servers
+                            .iter()
+                            .map(|s| s.workloads.iter().copied().filter(|i| i % 2 == 0).collect())
+                            .collect();
+                        shrunk.sort();
+                        shrunk.dedup();
+                        assert_eq!(sweep.distinct_cases, shrunk.len() as u64);
+                    }
+
+                    let multi =
+                        analyze_multi_failures(&c, &report, &normal, &failure, scope, 2).unwrap();
+                    for case in &multi.cases {
+                        let fleet = mixed(&normal, &failure, &case.affected, scope);
+                        assert_eq!(case.placement, fresh(&fleet, used - 2), "{scope:?}");
+                    }
+                }
+            }
+        }
+    }
+}
