@@ -41,10 +41,11 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> perfbench full-scale smoke"
 # One traced second per workload at full scale: perfbench exits nonzero
 # when an output check fails (traced layer calls reproduce the plan,
-# digest identical across passes, ...), which the TINY-scale unit tests
-# above cannot see. fleet-10k is left out: its ~1.9 GB peak is a
-# benchmark, not a smoke.
-for workload in plan-paper chaos-storm serve-churn; do
+# digest identical across passes, required capacity identical across
+# passes, ...), which the TINY-scale unit tests above cannot see.
+# fleet-10k is included: its translated workloads share their demand
+# traces, so it peaks at ~0.65 GB.
+for workload in plan-paper chaos-storm serve-churn fleet-10k; do
     cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 1 > /dev/null \
         || { echo "perfbench $workload: an output check failed"; exit 1; }

@@ -15,16 +15,15 @@ use ropus_obs::ObsCtx;
 use ropus_placement::consolidate::{ConsolidationOptions, Consolidator};
 use ropus_placement::server::ServerSpec;
 use ropus_placement::workload::Workload;
+use ropus_trace::Trace;
 
 /// Moves every unit of allocation into the chosen class.
 fn reclass(workloads: &[Workload], all_cos1: bool) -> Vec<Workload> {
     workloads
         .iter()
         .map(|w| {
-            let total = w
-                .cos1()
-                .checked_add(w.cos2())
-                .expect("translation traces are aligned");
+            let total = Trace::from_samples(w.calendar(), w.total_allocation())
+                .expect("a translated allocation is a valid trace");
             let zero = total.scaled(0.0).expect("zero scale is valid");
             if all_cos1 {
                 Workload::new(w.name(), total, zero).expect("aligned by construction")

@@ -119,9 +119,9 @@ impl DaemonConfig {
 #[derive(Debug, Clone)]
 struct QueuedAdmission {
     workload: Workload,
-    /// The offered demand samples, retained so a late admission can still
-    /// register its SLO watch entry.
-    samples: Vec<f64>,
+    /// The offered demand (sharing the workload's buffer), retained so a
+    /// late admission can still register its SLO watch entry.
+    demand: Trace,
     /// Last slot (inclusive) at which a retry may still admit it.
     deadline: u64,
     /// Failed re-decides so far; drives the exponential backoff.
@@ -137,8 +137,9 @@ struct QueuedAdmission {
 struct WatchedApp {
     /// Index of this app's contract in the daemon's [`SloEngine`].
     slo_index: usize,
-    /// Offered demand, one sample per calendar slot (cycled past the end).
-    demand: Vec<f64>,
+    /// Offered demand, one sample per calendar slot (cycled past the end);
+    /// shares the buffer the admitted workload splits.
+    demand: Trace,
     /// Translated total allocation (CoS1 + CoS2), aligned with `demand`.
     alloc: Vec<f64>,
 }
@@ -239,14 +240,15 @@ impl Daemon {
     }
 
     /// Translates an offered demand into a placeable workload under the
-    /// daemon's QoS and commitments, returning the demand samples too so
-    /// admission can retain them for the SLO watch.
+    /// daemon's QoS and commitments, returning the demand trace too (a
+    /// shared handle on the workload's own) so admission can retain it for
+    /// the SLO watch.
     fn translate_demand(
         &self,
         name: &str,
         demand: &DemandSpec,
         obs: ObsCtx<'_>,
-    ) -> Result<(Workload, Vec<f64>), String> {
+    ) -> Result<(Workload, Trace), String> {
         let trace = match demand {
             DemandSpec::Level(level) => Trace::constant(
                 self.config.calendar,
@@ -260,41 +262,30 @@ impl Daemon {
             }
         }
         .map_err(|e| format!("bad demand: {e}"))?;
-        // lint:allow(needless-trace-clone): the daemon retains its own copy
-        // of the demand so the SLO watch can replay it every slot after the
-        // trace itself has been folded into the workload.
-        let samples = trace.samples().to_vec();
         let translation = translate(&trace, &self.config.qos, &self.config.commitments.cos2, obs)
             .map_err(|e| format!("translation failed: {e}"))?;
         Ok((
             Workload::from_translation(name.to_string(), translation),
-            samples,
+            trace,
         ))
     }
 
     /// Registers an SLO contract and utilization watch for a newly placed
     /// application. Re-admitting a departed name registers a fresh
     /// contract; the old one stops receiving samples.
-    fn watch_admit(&mut self, workload: &Workload, samples: Vec<f64>) {
+    fn watch_admit(&mut self, workload: &Workload, demand: Trace) {
         let contract = slo_contract(
             workload.name(),
             &self.config.qos,
             self.config.calendar.slot_minutes(),
         );
         let slo_index = self.slo.register(contract);
-        let alloc: Vec<f64> = workload
-            .cos1()
-            .samples()
-            .iter()
-            .zip(workload.cos2().samples())
-            .map(|(a, b)| a + b)
-            .collect();
         self.watch.insert(
             workload.name().to_string(),
             WatchedApp {
                 slo_index,
-                demand: samples,
-                alloc,
+                demand,
+                alloc: workload.total_allocation(),
             },
         );
     }
@@ -380,7 +371,7 @@ impl Daemon {
         if self.queued_names().iter().any(|n| n == name) {
             return Response::error("admit", format!("{name:?} is already queued"));
         }
-        let (workload, samples) = match self.translate_demand(name, demand, obs) {
+        let (workload, offered) = match self.translate_demand(name, demand, obs) {
             Ok(w) => w,
             Err(e) => return Response::error("admit", e),
         };
@@ -400,7 +391,7 @@ impl Daemon {
                     .find(|p| p.server == server)
                     .map(|p| p.required)
                     .unwrap_or_else(|| self.session.probe(&workload, server).ok().flatten());
-                self.watch_admit(&workload, samples);
+                self.watch_admit(&workload, offered);
                 if let Err(e) = self.session.admit(workload, server) {
                     self.watch.remove(name);
                     return Response::error("admit", e.to_string());
@@ -415,7 +406,7 @@ impl Daemon {
                 let deadline = self.slot + self.config.queue_deadline_slots;
                 self.queue.push_back(QueuedAdmission {
                     workload,
-                    samples,
+                    demand: offered,
                     deadline,
                     attempts: 0,
                     next_retry: self.slot,
@@ -556,7 +547,7 @@ impl Daemon {
             .map(|app| {
                 // lint:allow(panic-slice-index): index is taken modulo the
                 // length, and empty traces are filtered out above.
-                let demand = app.demand[t % app.demand.len()];
+                let demand = app.demand.samples()[t % app.demand.len()];
                 // lint:allow(panic-slice-index): same modulo bound as above.
                 let alloc = app.alloc[t % app.alloc.len()];
                 let u = if alloc > 0.0 { demand / alloc } else { 0.0 };
@@ -601,7 +592,7 @@ impl Daemon {
                     if self.session.admit(entry.workload.clone(), server).is_ok() =>
                 {
                     self.stats.admitted += 1;
-                    self.watch_admit(&entry.workload, entry.samples);
+                    self.watch_admit(&entry.workload, entry.demand);
                     admitted.push(entry.workload.name().to_string());
                 }
                 _ if self.slot > entry.deadline

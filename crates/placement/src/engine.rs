@@ -209,15 +209,16 @@ impl Interner {
 }
 
 /// Whether two workloads are interchangeable inside any fit: same name
-/// (member order in the sum tree follows names) and bitwise-equal traces
-/// and peaks. Bitwise, not `Trace::eq`, which treats `-0.0 == +0.0` while
-/// the zero-CoS1 fast path does not.
+/// (member order in the sum tree follows names) and bitwise-equal class
+/// samples, memory and peaks. Bitwise, not `==`, which treats
+/// `-0.0 == +0.0` while the zero-CoS1 fast path does not. Two splits of
+/// one shared demand window with bit-equal scalars match in O(1); any
+/// other pair streams its samples without allocating.
 fn same_content(a: &Workload, b: &Workload) -> bool {
     a.name() == b.name()
         && a.cos1_peak().to_bits() == b.cos1_peak().to_bits()
         && a.total_peak().to_bits() == b.total_peak().to_bits()
-        && same_bits(a.cos1(), b.cos1())
-        && same_bits(a.cos2(), b.cos2())
+        && a.same_class_bits(b)
         && match (a.memory(), b.memory()) {
             (None, None) => true,
             (Some(x), Some(y)) => same_bits(x, y),
@@ -904,7 +905,7 @@ mod tests {
     fn separately_allocated_twins_share_one_id() {
         let a = ramp("a", 1.0, 2.0);
         let twin = ramp("a", 1.0, 2.0);
-        assert!(!a.cos1().shares_buffer(twin.cos1()));
+        assert!(!a.cos1().shares_buffer(&twin.cos1()));
         let memo = FitMemo::new();
         let ids = memo.intern(&[a.clone(), ramp("b", 1.0, 2.0)]);
         assert_ne!(ids[0], ids[1], "the name is part of the content id");

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use serde::{Deserialize, Serialize};
 
 use ropus_qos::PoolCommitments;
-use ropus_trace::{kernels, Calendar};
+use ropus_trace::Calendar;
 
 use crate::sumtree::{SlotArena, SumTree};
 use crate::workload::{validate_workloads, Workload};
@@ -120,7 +120,7 @@ impl AggregateLoad {
         arena: &mut SlotArena,
     ) -> Result<Self, PlacementError> {
         validate_workloads(workloads.iter().copied())?;
-        let calendar = workloads[0].cos1().calendar();
+        let calendar = workloads[0].calendar();
         let mut members: Vec<Workload> = workloads.iter().map(|w| (*w).clone()).collect();
         members.sort_by(|a, b| a.name().cmp(b.name()));
         let unique_names = names_unique(&members);
@@ -151,14 +151,10 @@ impl AggregateLoad {
     /// the canonical member list.
     fn rematerialize(&mut self) {
         self.totals.clear();
-        if let Some(cos2) = self.tree.root_cos2() {
-            match self.tree.root_cos1() {
-                Some(cos1) => self.totals.extend_from_slice(cos1),
-                // Every member's CoS1 is bitwise +0.0, so the CoS1 root
-                // would be +0.0 at every slot: add the CoS2 root to that.
-                None => self.totals.resize(cos2.len(), 0.0),
-            }
-            kernels::add_assign(&mut self.totals, cos2);
+        // Without CoS1 sums every member's CoS1 is bitwise +0.0, so the
+        // CoS1 root would be +0.0 at every slot: add the CoS2 root to that.
+        if let Some(root) = self.tree.root() {
+            root.totals_into(&mut self.totals, self.tree.keeps_cos1());
         }
         // Memory is not time-shareable, so only its aggregate peak matters.
         self.memory_peak = self
@@ -222,7 +218,7 @@ impl AggregateLoad {
     /// Returns [`PlacementError::MisalignedWorkloads`] when the workload's
     /// calendar or length differs from the existing members'.
     pub fn add(&mut self, workload: &Workload) -> Result<(), PlacementError> {
-        let aligned = workload.len() == self.len() && workload.cos1().calendar() == self.calendar;
+        let aligned = workload.len() == self.len() && workload.calendar() == self.calendar;
         if !aligned {
             return Err(PlacementError::MisalignedWorkloads {
                 name: workload.name().to_string(),
@@ -874,6 +870,43 @@ mod tests {
         let report = fit(&load, 8.0, &commitments(0.75));
         assert!(report.measured_theta >= 0.75);
         assert_eq!(report.violation, Some(FitViolation::DeadlineMissed));
+    }
+
+    /// Pooling two servers' sets onto one server of the summed capacity
+    /// can miss the deadline though each set meets it alone: current
+    /// demand is served before backlog, so a later overload of one set
+    /// takes the surplus the other set's backlog needed. Any pooled lower
+    /// bound on the server count must therefore leave the deadline check
+    /// out (it may use the CoS1, memory and θ checks).
+    #[test]
+    fn pooling_two_sets_can_miss_the_deadline_each_meets_alone() {
+        // A week at 10.0 with two slots changed.
+        let workload = |name: &str, spikes: [(usize, f64); 2]| {
+            let mut samples = vec![10.0; week()];
+            for (slot, value) in spikes {
+                samples[slot] = value;
+            }
+            Workload::new(
+                name,
+                Trace::constant(cal(), 0.0, week()).unwrap(),
+                Trace::from_samples(cal(), samples).unwrap(),
+            )
+            .unwrap()
+        };
+        // 60-minute deadline = 12 five-minute slots.
+        let a = workload("a", [(0, 11.0), (11, 9.0)]);
+        let b = workload("b", [(11, 11.0), (20, 9.0)]);
+        let commitments = commitments(0.95);
+        for alone in [&a, &b] {
+            let report = fit(&AggregateLoad::of(&[alone]).unwrap(), 10.0, &commitments);
+            assert!(report.fits, "{}: {report:?}", alone.name());
+            assert!((report.measured_theta - 70.0 / 71.0).abs() < 1e-12);
+        }
+        let pooled = fit(&AggregateLoad::of(&[&a, &b]).unwrap(), 20.0, &commitments);
+        // θ passes (140/141 ≈ 0.99291), but at slot 11 `a` reads 9 and `b`
+        // reads 11: no surplus reaches `a`'s slot-0 backlog in time.
+        assert!((pooled.measured_theta - 140.0 / 141.0).abs() < 1e-12);
+        assert_eq!(pooled.violation, Some(FitViolation::DeadlineMissed));
     }
 
     #[test]

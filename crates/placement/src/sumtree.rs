@@ -28,21 +28,26 @@
 //!   have no such order; [`AggregateLoad`](crate::AggregateLoad) falls
 //!   back to cold rebuilds for that degenerate case.)
 //!
+//! A translated member holds no class columns: its demand is split as it
+//! is summed, both classes in one pass (DESIGN.md §5k).
+//!
 //! Node sum buffers are recycled through a [`SlotArena`], so steady-state
 //! mutation — and the `FitEngine`'s transient per-candidate aggregates —
 //! reuse warm allocations instead of hitting the allocator.
 //!
 //! When every member's CoS1 trace is bitwise `+0.0` (every app translated
 //! with breakpoint `p = 0`), the CoS1 sums are skipped altogether: each
-//! one would be exactly `+0.0` per slot, so [`SumTree::root_cos1`] reports
-//! `None` and the owner adds the CoS2 root to `+0.0` itself. Sets with any
+//! one would be exactly `+0.0` per slot, so [`SumTree::keeps_cos1`] reports
+//! `false` and the owner adds the CoS2 root to `+0.0` itself. Sets with any
 //! other member — including `-0.0` samples — keep the full CoS1 sums.
 //! Inserting such a member into a skipping tree materializes them; a
 //! removal never drops them, which is still exact (a full CoS1 sum of
 //! `+0.0` members is itself `+0.0` per slot) until the owner's next cold
 //! rebuild re-derives the mode from the set.
 
-use ropus_trace::kernels;
+use std::mem::take;
+
+use ropus_trace::kernels::{self, Columns};
 
 use crate::workload::Workload;
 
@@ -70,9 +75,26 @@ impl SlotArena {
         buf
     }
 
-    /// Returns a buffer to the pool for reuse.
+    /// A node's CoS1 and CoS2 sum buffers of `len` slots with unspecified
+    /// contents, for a combine that overwrites every slot: a recycled
+    /// buffer of that length skips the zero fill. CoS1 stays empty unless
+    /// `with_cos1`.
+    fn take_classes(&mut self, len: usize, with_cos1: bool) -> (Vec<f64>, Vec<f64>) {
+        let mut sized = || {
+            let mut buf = self.pool.pop().unwrap_or_default();
+            buf.resize(len, 0.0);
+            buf
+        };
+        let cos1 = if with_cos1 { sized() } else { Vec::new() };
+        (cos1, sized())
+    }
+
+    /// Returns a buffer to the pool for reuse (an unallocated one is
+    /// dropped: it has nothing to lend).
     pub fn give(&mut self, buf: Vec<f64>) {
-        self.pool.push(buf);
+        if buf.capacity() > 0 {
+            self.pool.push(buf);
+        }
     }
 
     /// Number of pooled buffers (diagnostic).
@@ -94,10 +116,24 @@ fn priority(name: &str) -> u64 {
     h
 }
 
-/// The fixed sum association: copy the first present contributor into
-/// `out`, add the rest slot-wise. Shared by the dense per-node recompute
-/// and the lazy root evaluation so both produce the same bits.
-fn combine_parts<const N: usize>(out: &mut Vec<f64>, parts: [Option<&[f64]>; N]) {
+/// The fixed class-sum association: the first present contributor
+/// written over `cos1`/`cos2` (buffers of the slot count), the rest added
+/// slot-wise (CoS2 only unless `with_cos1`). Shared by the dense per-node
+/// recompute and the lazy root evaluation so both produce the same bits;
+/// a split contributor is split as it is summed.
+fn combine_classes(
+    cos1: &mut [f64],
+    cos2: &mut [f64],
+    with_cos1: bool,
+    parts: [Option<Columns<'_>>; 3],
+) {
+    let present: Vec<Columns<'_>> = parts.into_iter().flatten().collect();
+    kernels::sum_classes(cos1, cos2, with_cos1, true, &present);
+}
+
+/// The memory-sum association: the same left-self-right order, first
+/// present contributor copied.
+fn combine_memory(out: &mut Vec<f64>, parts: [Option<&[f64]>; 3]) {
     let mut first = true;
     for part in parts.into_iter().flatten() {
         if first {
@@ -110,7 +146,7 @@ fn combine_parts<const N: usize>(out: &mut Vec<f64>, parts: [Option<&[f64]>; N])
 }
 
 /// Per-node subtree sums; present iff the node has at least one child
-/// (a leaf's "sums" are simply its workload's own trace slices).
+/// (a leaf's "sums" are its workload's own [`Columns`]).
 #[derive(Debug, Clone)]
 struct NodeSums {
     /// Left empty while the tree skips CoS1 (see the module docs).
@@ -118,6 +154,18 @@ struct NodeSums {
     cos2: Vec<f64>,
     /// `Some` iff some member of the subtree carries a memory trace.
     memory: Option<Vec<f64>>,
+}
+
+/// A child's contribution during the lazy build: its transient sums, or
+/// its workload's own columns when it is a leaf.
+fn sums_or_leaf<'a>(nodes: &'a [Node], idx: u32, sums: &'a Option<NodeSums>) -> Columns<'a> {
+    match sums {
+        Some(s) => Columns::Slices {
+            cos1: &s.cos1,
+            cos2: &s.cos2,
+        },
+        None => nodes[idx as usize].workload.columns(),
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -253,47 +301,50 @@ impl SumTree {
                 + right.map_or(0, |c| self.nodes[c as usize].mem_count);
             self.nodes[idx as usize].mem_count = mem_count;
             if left.is_none() && right.is_none() {
-                continue; // leaf: parents read its trace slices directly
+                continue; // leaf: parents read its columns directly
             }
-            let left_sums = left.and_then(|l| contrib[l as usize].take());
-            let right_sums = right.and_then(|r| contrib[r as usize].take());
-            let mut cos1 = self.spare.take();
-            if !self.cos1_zero {
-                combine_parts(
-                    &mut cos1,
-                    [
-                        left.map(|l| match &left_sums {
-                            Some(s) => &s.cos1[..],
-                            None => self.nodes[l as usize].workload.cos1().samples(),
-                        }),
-                        Some(self.nodes[idx as usize].workload.cos1().samples()),
-                        right.map(|r| match &right_sums {
-                            Some(s) => &s.cos1[..],
-                            None => self.nodes[r as usize].workload.cos1().samples(),
-                        }),
-                    ],
-                );
-            }
-            let mut cos2 = self.spare.take();
-            combine_parts(
-                &mut cos2,
-                [
-                    left.map(|l| match &left_sums {
-                        Some(s) => &s.cos2[..],
-                        None => self.nodes[l as usize].workload.cos2().samples(),
-                    }),
-                    Some(self.nodes[idx as usize].workload.cos2().samples()),
-                    right.map(|r| match &right_sums {
-                        Some(s) => &s.cos2[..],
-                        None => self.nodes[r as usize].workload.cos2().samples(),
-                    }),
-                ],
-            );
+            let mut left_sums = left.and_then(|l| contrib[l as usize].take());
+            let mut right_sums = right.and_then(|r| contrib[r as usize].take());
+            let with_cos1 = !self.cos1_zero;
+            let own = self.nodes[idx as usize].workload.columns();
+            // A child's transient sums are spent once read, so when they
+            // open the combine they accumulate the rest in place instead
+            // of being copied. `S + R` is `R + S` bit for bit, so a right
+            // child without a left sibling opens it too.
+            let spent = if let Some(s) = left_sums.as_mut() {
+                Some((take(&mut s.cos1), take(&mut s.cos2), right))
+            } else if let (None, Some(s)) = (left, right_sums.as_mut()) {
+                Some((take(&mut s.cos1), take(&mut s.cos2), None))
+            } else {
+                None
+            };
+            let (cos1, cos2) = match spent {
+                Some((mut cos1, mut cos2, rest)) => {
+                    let rest = rest.map(|r| sums_or_leaf(&self.nodes, r, &right_sums));
+                    let parts: Vec<Columns<'_>> = std::iter::once(own).chain(rest).collect();
+                    kernels::sum_classes(&mut cos1, &mut cos2, with_cos1, false, &parts);
+                    (cos1, cos2)
+                }
+                None => {
+                    let (mut cos1, mut cos2) = self.spare.take_classes(own.len(), with_cos1);
+                    combine_classes(
+                        &mut cos1,
+                        &mut cos2,
+                        with_cos1,
+                        [
+                            left.map(|l| sums_or_leaf(&self.nodes, l, &left_sums)),
+                            Some(own),
+                            right.map(|r| sums_or_leaf(&self.nodes, r, &right_sums)),
+                        ],
+                    );
+                    (cos1, cos2)
+                }
+            };
             let memory = if mem_count == 0 {
                 None
             } else {
                 let mut mem = self.spare.take();
-                combine_parts(
+                combine_memory(
                     &mut mem,
                     [
                         left.and_then(|l| match &left_sums {
@@ -388,19 +439,17 @@ impl SumTree {
         Some(self.nodes[removed as usize].workload.clone())
     }
 
-    /// Slot-wise CoS1 sum of the whole set; `None` for an empty tree and
-    /// while every member's CoS1 is bitwise `+0.0` (the sum would be
-    /// `+0.0` at every slot).
-    pub(crate) fn root_cos1(&self) -> Option<&[f64]> {
-        if self.cos1_zero {
-            return None;
-        }
-        self.root.map(|r| self.subtree_cos1(r))
+    /// The whole set's class sums; `None` for an empty tree. A one-member
+    /// tree's root is that member's own [`Columns`].
+    pub(crate) fn root(&self) -> Option<Columns<'_>> {
+        self.root.map(|r| self.subtree(r))
     }
 
-    /// Slot-wise CoS2 sum of the whole set.
-    pub(crate) fn root_cos2(&self) -> Option<&[f64]> {
-        self.root.map(|r| self.subtree_cos2(r))
+    /// Whether the tree keeps CoS1 sums. `false` while every member's
+    /// CoS1 is bitwise `+0.0`: the CoS1 sum would be `+0.0` at every slot,
+    /// so the root's CoS1 column is then meaningless.
+    pub(crate) fn keeps_cos1(&self) -> bool {
+        !self.cos1_zero
     }
 
     /// Slot-wise memory sum, `None` when no member carries memory.
@@ -533,19 +582,14 @@ impl SumTree {
         x
     }
 
-    fn subtree_cos1(&self, idx: u32) -> &[f64] {
+    fn subtree(&self, idx: u32) -> Columns<'_> {
         let node = &self.nodes[idx as usize];
         match &node.sums {
-            Some(s) => &s.cos1,
-            None => node.workload.cos1().samples(),
-        }
-    }
-
-    fn subtree_cos2(&self, idx: u32) -> &[f64] {
-        let node = &self.nodes[idx as usize];
-        match &node.sums {
-            Some(s) => &s.cos2,
-            None => node.workload.cos2().samples(),
+            Some(s) => Columns::Slices {
+                cos1: &s.cos1,
+                cos2: &s.cos2,
+            },
+            None => node.workload.columns(),
         }
     }
 
@@ -583,33 +627,25 @@ impl SumTree {
             + right.map_or(0, |c| self.nodes[c as usize].mem_count);
         self.nodes[idx as usize].mem_count = mem_count;
         if left.is_none() && right.is_none() {
-            return; // leaf: its sums are its own trace slices
+            return; // leaf: its sums are its own columns
         }
-        let mut cos1 = self.spare.take();
-        if !self.cos1_zero {
-            combine_parts(
-                &mut cos1,
-                [
-                    left.map(|c| self.subtree_cos1(c)),
-                    Some(self.nodes[idx as usize].workload.cos1().samples()),
-                    right.map(|c| self.subtree_cos1(c)),
-                ],
-            );
-        }
-        let mut cos2 = self.spare.take();
-        combine_parts(
+        let len = self.nodes[idx as usize].workload.len();
+        let (mut cos1, mut cos2) = self.spare.take_classes(len, !self.cos1_zero);
+        combine_classes(
+            &mut cos1,
             &mut cos2,
+            !self.cos1_zero,
             [
-                left.map(|c| self.subtree_cos2(c)),
-                Some(self.nodes[idx as usize].workload.cos2().samples()),
-                right.map(|c| self.subtree_cos2(c)),
+                left.map(|c| self.subtree(c)),
+                Some(self.nodes[idx as usize].workload.columns()),
+                right.map(|c| self.subtree(c)),
             ],
         );
         let memory = if self.nodes[idx as usize].mem_count == 0 {
             None
         } else {
             let mut mem = self.spare.take();
-            combine_parts(
+            combine_memory(
                 &mut mem,
                 [
                     left.and_then(|c| self.subtree_memory(c)),
@@ -666,6 +702,16 @@ mod tests {
         .unwrap()
     }
 
+    /// The root's CoS1 and CoS2 sums as bits (CoS1 empty when skipped).
+    fn root_bits(tree: &SumTree) -> (Vec<u64>, Vec<u64>) {
+        let len = tree.nodes[0].workload.len();
+        let mut cos1 = vec![0.0; if tree.keeps_cos1() { len } else { 0 }];
+        let mut cos2 = vec![0.0; len];
+        let root = tree.root().unwrap();
+        kernels::sum_classes(&mut cos1, &mut cos2, tree.keeps_cos1(), true, &[root]);
+        (bits(&cos1), bits(&cos2))
+    }
+
     fn sorted_members(mut members: Vec<Workload>) -> Vec<Workload> {
         members.sort_by(|a, b| a.name().cmp(b.name()));
         members
@@ -686,34 +732,19 @@ mod tests {
         for i in order {
             tree.insert(members[i].clone());
         }
-        let (a, b) = (cold.root_cos1().unwrap(), tree.root_cos1().unwrap());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(root_bits(&cold), root_bits(&tree));
     }
 
     #[test]
     fn remove_then_reinsert_round_trips_bitwise() {
         let members: Vec<Workload> = (0..9).map(|i| wl(&format!("w{i}"), i as f64)).collect();
         let mut tree = SumTree::build(&sorted_members(members.clone()), &mut SlotArena::new());
-        let reference: Vec<u64> = tree
-            .root_cos2()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
+        let reference = root_bits(&tree);
         let removed = tree.remove("w4").unwrap();
         assert_eq!(removed.name(), "w4");
         assert!(tree.remove("w4").is_none());
         tree.insert(removed);
-        let back: Vec<u64> = tree
-            .root_cos2()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(reference, back);
+        assert_eq!(reference, root_bits(&tree));
     }
 
     #[test]
@@ -740,33 +771,9 @@ mod tests {
                 .collect(),
         );
         let mut tree = SumTree::build(&members, &mut SlotArena::new());
-        let lazy1: Vec<u64> = tree
-            .root_cos1()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let lazy2: Vec<u64> = tree
-            .root_cos2()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
+        let lazy = root_bits(&tree);
         tree.densify();
-        let dense1: Vec<u64> = tree
-            .root_cos1()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let dense2: Vec<u64> = tree
-            .root_cos2()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(lazy1, dense1);
-        assert_eq!(lazy2, dense2);
+        assert_eq!(lazy, root_bits(&tree));
     }
 
     #[test]
@@ -791,8 +798,8 @@ mod tests {
         tree.cos1_zero = false;
         tree.dense = false;
         tree.densify();
-        let mut totals = tree.root_cos1().unwrap().to_vec();
-        kernels::add_assign(&mut totals, tree.root_cos2().unwrap());
+        let mut totals = Vec::new();
+        tree.root().unwrap().totals_into(&mut totals, true);
         totals
     }
 

@@ -14,7 +14,9 @@ use serde::{Deserialize, Serialize};
 
 use ropus_obs::ObsCtx;
 use ropus_trace::runs::{first_full_window, min_in_range, runs_where};
-use ropus_trace::Trace;
+use ropus_trace::{Trace, TraceError};
+
+pub use ropus_trace::kernels::CosSplit;
 
 use crate::portfolio::{
     breakpoint, cap_for_degraded_threshold, degraded_threshold, worst_case_utilization,
@@ -22,28 +24,59 @@ use crate::portfolio::{
 use crate::{AppQos, CosSpec, QosError};
 
 /// Result of translating one application's demand onto the two CoS.
+///
+/// The per-class allocation requirements are not stored: they are the
+/// demand trace divided slot by slot by a [`CosSplit`], which
+/// [`cos1`](Self::cos1)/[`cos2`](Self::cos2) materialize on request and
+/// the placement kernels apply while they aggregate (DESIGN.md §5k).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Translation {
-    /// Allocation requirements placed in the guaranteed class.
-    pub cos1: Trace,
-    /// Allocation requirements placed in the statistical class.
-    pub cos2: Trace,
+    /// The translated demand (a shared handle on the caller's trace).
+    demand: Trace,
+    /// How each demand sample divides into CoS1 and CoS2 allocation.
+    /// Private so that only [`translate`], which checks that the split of
+    /// every sample is finite, can pair it with a demand.
+    split: CosSplit,
     /// Every intermediate quantity of the translation.
     pub report: TranslationReport,
 }
 
 impl Translation {
+    /// The translated demand and how each of its samples divides into
+    /// CoS1 and CoS2 allocation, consuming the translation.
+    pub fn into_parts(self) -> (Trace, CosSplit) {
+        (self.demand, self.split)
+    }
+
+    /// Allocation requirements placed in the guaranteed class.
+    pub fn cos1(&self) -> Trace {
+        self.classes().0
+    }
+
+    /// Allocation requirements placed in the statistical class.
+    pub fn cos2(&self) -> Trace {
+        self.classes().1
+    }
+
+    /// Both class traces, materialized from the demand and the split.
+    fn classes(&self) -> (Trace, Trace) {
+        self.demand
+            .split_classes(&self.split)
+            // lint:allow(panic-expect): `translate` checked that the split
+            // of the peak demand, and so of every sample, is finite.
+            .expect("translation split is finite")
+    }
+
     /// Total (CoS1 + CoS2) allocation-requirement trace.
     ///
     /// # Panics
     ///
     /// Never panics: both traces are produced aligned.
     pub fn total_allocation(&self) -> Trace {
-        self.cos1
-            .checked_add(&self.cos2)
-            // lint:allow(panic-expect): `translate` produces cos1 and
-            // cos2 from the same demand trace on the same calendar, so
-            // the pair is aligned by construction.
+        let (cos1, cos2) = self.classes();
+        cos1.checked_add(&cos2)
+            // lint:allow(panic-expect): both class traces split one demand
+            // trace, so the pair is aligned by construction.
             .expect("translation traces are aligned")
     }
 
@@ -164,42 +197,35 @@ pub fn translate(
         .with_u64("iterations", iterations as u64)
         .emit();
 
-    // Build the per-class allocation-requirement traces.
+    // The per-class allocation requirements, as a split of the demand.
     let burst_factor = band.burst_factor();
     let calendar = demand.calendar();
-    // lint:allow(unit-float-eq): exact zero selects a bit-identical fast
-    // path (the breakpoint formula clamps to literal 0.0), not a tolerance
-    // comparison — an approximate test would change results.
-    let (cos1, cos2_trace) = if p == 0.0 {
-        // Below the breakpoint everything rides in CoS2: for every `d`,
-        // `split_demand(d, 0, cap)` is `(0, min(d, cap))`, so the class
-        // trace is the fused cap-and-scale kernel over the whole demand
-        // buffer. `cap_scaled` shares the demand buffer when neither the
-        // cap nor the burst factor binds, making this arm allocation-free
-        // for already-capped demand instead of materializing two vectors.
-        let cos1 = Trace::constant(calendar, 0.0, demand.len())?;
-        let cos2_trace = demand.cap_scaled(d_new_max, burst_factor)?;
-        (cos1, cos2_trace)
+    // lint:allow(unit-float-eq): exact zero selects the `p = 0` arm (the
+    // breakpoint formula clamps to literal 0.0); a tolerance test would
+    // change results. That arm is `min(d, cap) · factor`, and its
+    // reference `Trace::cap_scaled` skips the `min` when the cap cannot
+    // bind (`cap >= D_max`). An infinite cap does the same bit for bit:
+    // `min(d, ∞) = d` for every sample, `-0.0` included.
+    let cap = if p == 0.0 && d_new_max >= d_max {
+        f64::INFINITY
     } else {
-        // The columnar CoS-split kernel performs, per slot, exactly the
-        // operations of `split_demand` followed by the burst scaling, so
-        // this arm is bit-identical to the scalar loop it replaced (the
-        // kernel-equivalence proptests pin that down).
-        let mut cos1_samples = Vec::with_capacity(demand.len());
-        let mut cos2_samples = Vec::with_capacity(demand.len());
-        ropus_trace::kernels::split_cos_into(
-            demand.samples(),
-            p,
-            d_new_max,
-            burst_factor,
-            &mut cos1_samples,
-            &mut cos2_samples,
-        );
-        (
-            Trace::from_samples(calendar, cos1_samples)?,
-            Trace::from_samples(calendar, cos2_samples)?,
-        )
+        d_new_max
     };
+    let split = CosSplit {
+        p,
+        cap,
+        factor: burst_factor,
+    };
+    // Both classes are non-decreasing in the demand, so the peak sample
+    // bounds every slot: a finite split there makes every class sample a
+    // valid trace sample.
+    let (peak_cos1, peak_cos2) = split.classes(d_max);
+    for value in [peak_cos1, peak_cos2] {
+        if !value.is_finite() {
+            let index = demand.iter().position(|d| d >= d_max).unwrap_or(0);
+            return Err(TraceError::InvalidSample { index, value }.into());
+        }
+    }
 
     // Worst-case outcome statistics.
     let threshold = degraded_threshold(band, cos2, d_new_max);
@@ -220,8 +246,8 @@ pub fn translate(
     let peak_allocation = d_max.min(d_new_max) * burst_factor;
 
     Ok(Translation {
-        cos1,
-        cos2: cos2_trace,
+        demand: demand.clone(),
+        split,
         report: TranslationReport {
             breakpoint: p,
             d_max,
@@ -465,8 +491,9 @@ mod tests {
         let tr = translate(&t, &qos_no_limit(), &cos(0.6), ObsCtx::none()).unwrap();
         let bf = band().burst_factor();
         let cap = tr.report.d_new_max;
+        let (cos1, cos2) = (tr.cos1(), tr.cos2());
         for (i, d) in t.iter().enumerate() {
-            let total = tr.cos1.samples()[i] + tr.cos2.samples()[i];
+            let total = cos1.samples()[i] + cos2.samples()[i];
             let expected = d.min(cap) * bf;
             assert!((total - expected).abs() < 1e-9, "slot {i}");
         }
@@ -479,7 +506,7 @@ mod tests {
         let p = tr.report.breakpoint;
         let cap = tr.report.d_new_max;
         let bf = band().burst_factor();
-        let max_cos1 = tr.cos1.peak();
+        let max_cos1 = tr.cos1().peak();
         assert!((max_cos1 - p * cap * bf).abs() < 1e-9);
     }
 
@@ -488,8 +515,8 @@ mod tests {
         let t = spiky(2016, 10.0, 100);
         let tr = translate(&t, &qos_no_limit(), &cos(0.95), ObsCtx::none()).unwrap();
         assert_eq!(tr.report.breakpoint, 0.0);
-        assert_eq!(tr.cos1.peak(), 0.0);
-        assert!(tr.cos2.peak() > 0.0);
+        assert_eq!(tr.cos1().peak(), 0.0);
+        assert!(tr.cos2().peak() > 0.0);
     }
 
     #[test]
@@ -708,6 +735,17 @@ mod tests {
     }
 
     #[test]
+    fn allocation_overflow_is_rejected() {
+        // Burst factor 2 takes 1e308 past f64::MAX; with p = 0 all of it
+        // lands in CoS2.
+        let t = Trace::constant(cal(), 1e308, 2016).unwrap();
+        assert!(matches!(
+            translate(&t, &qos_strict(), &cos(0.95), ObsCtx::none()),
+            Err(QosError::Trace(TraceError::InvalidSample { .. }))
+        ));
+    }
+
+    #[test]
     fn inconsistent_qos_is_rejected() {
         let t = Trace::constant(cal(), 1.0, 10).unwrap();
         let qos = AppQos::new(band(), Some(DegradationSpec::new(0.03, 0.6, None).unwrap()));
@@ -722,8 +760,9 @@ mod tests {
         let t = spiky(500, 3.0, 50);
         let tr = translate(&t, &qos_no_limit(), &cos(0.6), ObsCtx::none()).unwrap();
         let total = tr.total_allocation();
+        let (cos1, cos2) = (tr.cos1(), tr.cos2());
         for i in 0..t.len() {
-            let s = tr.cos1.samples()[i] + tr.cos2.samples()[i];
+            let s = cos1.samples()[i] + cos2.samples()[i];
             assert!((total.samples()[i] - s).abs() < 1e-12);
         }
         assert!((tr.peak_allocation() - total.peak()).abs() < 1e-9);

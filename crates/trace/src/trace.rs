@@ -368,6 +368,22 @@ impl Trace {
         Trace::from_samples(self.calendar, out)
     }
 
+    /// The CoS1 and CoS2 allocation traces `split` divides this demand
+    /// into, materialized (the kernels apply a split without this copy).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::InvalidSample`] if a split sample overflows
+    /// to infinity.
+    pub fn split_classes(&self, split: &kernels::CosSplit) -> Result<(Trace, Trace), TraceError> {
+        let (mut cos1, mut cos2) = (Vec::new(), Vec::new());
+        split.classes_into(self.samples(), &mut cos1, &mut cos2);
+        Ok((
+            Trace::from_samples(self.calendar, cos1)?,
+            Trace::from_samples(self.calendar, cos2)?,
+        ))
+    }
+
     /// Element-wise sum of two aligned traces.
     ///
     /// # Errors

@@ -202,6 +202,6 @@ mod tests {
         assert!((policy.total_cap - t.report.d_new_max * 2.0).abs() < 1e-12);
         assert!(policy.cos1_cap <= policy.total_cap);
         // The policy's CoS1 cap equals the translation's peak CoS1 trace.
-        assert!((policy.cos1_cap - t.cos1.peak()).abs() < 1e-9);
+        assert!((policy.cos1_cap - t.cos1().peak()).abs() < 1e-9);
     }
 }

@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             breakpoint(band, &cos2),
             normalized_max_allocation(band, &cos2),
             r.d_new_max,
-            translation.cos1.peak(),
-            translation.cos2.peak(),
+            translation.cos1().peak(),
+            translation.cos2().peak(),
             100.0 * r.degraded_fraction,
         );
     }

@@ -390,6 +390,58 @@ proptest! {
         }
     }
 
+    /// A translation's split reproduces the two class traces translation
+    /// used to materialize, bit for bit: an all-`+0.0` CoS1 beside
+    /// `cap_scaled` demand when `p = 0` (sharing the demand when the cap
+    /// cannot bind), `split_cos_into` otherwise. Demand mixes in `-0.0`
+    /// and all-zero weeks.
+    #[test]
+    fn translation_split_reproduces_the_materialized_classes(
+        samples in demand_week(),
+        zeros in (0u32..4, 0u32..168),
+        band in band_strategy(),
+        theta in 0.5f64..1.0,
+    ) {
+        let (zero_kind, stride) = zeros;
+        let samples: Vec<f64> = samples
+            .into_iter()
+            .enumerate()
+            .map(|(i, d)| match zero_kind {
+                0 => 0.0,
+                1 if i % (stride as usize + 1) == 0 => -0.0,
+                _ => d,
+            })
+            .collect();
+        let demand = Trace::from_samples(hourly(), samples).unwrap();
+        let qos = AppQos::new(band, None);
+        let t = translate(&demand, &qos, &CosSpec::new(theta, 60).unwrap(), ObsCtx::none()).unwrap();
+        let (p, cap, factor) = (t.report.breakpoint, t.report.d_new_max, band.burst_factor());
+        let (cos1, cos2) = if p == 0.0 {
+            (
+                Trace::constant(hourly(), 0.0, demand.len()).unwrap(),
+                demand.cap_scaled(cap, factor).unwrap(),
+            )
+        } else {
+            let (mut c1, mut c2) = (Vec::new(), Vec::new());
+            kernels::split_cos_into(demand.samples(), p, cap, factor, &mut c1, &mut c2);
+            (
+                Trace::from_samples(hourly(), c1).unwrap(),
+                Trace::from_samples(hourly(), c2).unwrap(),
+            )
+        };
+        let bits = |t: &Trace| t.iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&t.cos1()), bits(&cos1));
+        prop_assert_eq!(bits(&t.cos2()), bits(&cos2));
+        let w = Workload::from_translation("app", t);
+        let twin = Workload::new("app", cos1, cos2).unwrap();
+        prop_assert_eq!(w.cos1_peak().to_bits(), twin.cos1_peak().to_bits());
+        prop_assert_eq!(w.total_peak().to_bits(), twin.total_peak().to_bits());
+        prop_assert_eq!(
+            serde_json::to_string(&w).unwrap(),
+            serde_json::to_string(&twin).unwrap()
+        );
+    }
+
     /// The threaded fleet translation (the 10k-plan entry point) is a pure
     /// function of the fleet: 1 worker and 4 workers produce bit-identical
     /// reports and workload columns for arbitrary demand traces.
