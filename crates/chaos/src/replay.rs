@@ -28,7 +28,7 @@ use ropus_placement::workload::Workload;
 use ropus_qos::AppQos;
 use ropus_trace::{Trace, TraceError};
 use ropus_wlm::manager::{WlmPolicy, WorkloadManager};
-use ropus_wlm::metrics::{audit, slo_contract};
+use ropus_wlm::metrics::{audit, slo_contract, utilization_of_allocation};
 use ropus_wlm::WlmError;
 
 use crate::error::ChaosError;
@@ -99,12 +99,14 @@ pub struct ReplayOptions {
     /// Graceful-degradation policy for demand the survivors cannot
     /// absorb.
     pub degradation: DegradationPolicy,
-    /// Migration lifecycle model. `None` teleports workloads between
-    /// servers at segment boundaries (the historical behavior);
-    /// `Some(config)` drives every re-placement through the
-    /// [`MigrationOrchestrator`] state machine — with
-    /// [`MigrationConfig::teleport`] the replay is bit-identical to
-    /// `None` except for the extra [`MigrationReport`] in the output.
+    /// Migration lifecycle model. Every re-placement goes through the
+    /// [`MigrationOrchestrator`] state machine. `None` runs it under the
+    /// zero-cost [`MigrationConfig::teleport`], unobserved and without
+    /// a [`MigrationReport`] in the output, so moves take effect at the
+    /// start of the re-planned segment. `Some(config)` runs it under
+    /// `config`, emits its `migration.*` telemetry and attaches the
+    /// report; `Some(MigrationConfig::teleport())` differs from `None`
+    /// only by that report.
     ///
     /// [`MigrationReport`]: ropus_placement::migration::MigrationReport
     pub migration: Option<MigrationConfig>,
@@ -276,19 +278,22 @@ pub fn replay(
     let mut window_shed = vec![0.0f64; window_ranges.len()];
     let mut contended_slots = 0usize;
     let mut migrations_total = 0usize;
-    let mut prev_assignment: Vec<Option<usize>> = normal_placement
+
+    // The migration machine owns the serving assignment `eff`: each
+    // segment's plan becomes its target, and apps move only as it
+    // commits cutovers. Without a configured model the moves are free
+    // and the machine is neither observed nor reported.
+    let (config, machine_obs) = match options.migration {
+        Some(config) => (config, obs),
+        None => (MigrationConfig::teleport(), ObsCtx::none()),
+    };
+    let initial = normal_placement
         .assignment
         .iter()
         .map(|&s| Some(s))
         .collect();
-
-    // Migration machine (when enabled): the authoritative serving
-    // assignment `eff` replaces the segment plan's instantaneous one,
-    // moving only as the orchestrator commits cutovers.
-    let mut orch = options
-        .migration
-        .map(|config| MigrationOrchestrator::new(config, prev_assignment.clone()));
-    let mut eff: Vec<Option<usize>> = prev_assignment.clone();
+    let mut orch = MigrationOrchestrator::new(config, initial);
+    let mut eff: Vec<Option<usize>> = Vec::with_capacity(n);
     let mut hosted: Vec<Vec<usize>> = vec![Vec::new(); id_cap];
     let mut reserved: Vec<Vec<usize>> = vec![Vec::new(); id_cap];
     let mut contended_flags = vec![false; id_cap];
@@ -334,36 +339,21 @@ pub fn replay(
         } else {
             None
         };
-        match orch.as_mut() {
-            None => {
-                // Teleport: an app moved if it now runs on a different
-                // server (losing its server entirely is displacement,
-                // not a migration).
-                let mut moved = 0usize;
-                for i in 0..n {
-                    if plan.assignment[i] != prev_assignment[i] && plan.assignment[i].is_some() {
-                        migrations_per_app[i] += 1;
-                        moved += 1;
-                    }
-                }
-                prev_assignment.clone_from(&plan.assignment);
-                migrations_total += moved;
-                if let Some(w) = attributed {
-                    window_migrations[w] += moved;
-                }
-            }
-            Some(orch) => {
-                // The new plan becomes the machine's target; moves count
-                // only when they commit (inside the slot loop below).
-                orch.retarget(&plan.assignment, &seg.failed, seg.start, attributed, obs);
-                for (i, app) in apps.iter().enumerate() {
-                    band_high[i] = if plan.use_failure[i] {
-                        app.failure_qos.band().high()
-                    } else {
-                        app.normal_qos.band().high()
-                    };
-                }
-            }
+        // The new plan becomes the machine's target; moves count only
+        // when they commit (inside the slot loop below).
+        orch.retarget(
+            &plan.assignment,
+            &seg.failed,
+            seg.start,
+            attributed,
+            machine_obs,
+        );
+        for (i, app) in apps.iter().enumerate() {
+            band_high[i] = if plan.use_failure[i] {
+                app.failure_qos.band().high()
+            } else {
+                app.normal_qos.band().high()
+            };
         }
 
         // Managers restart at the segment boundary under the active
@@ -385,40 +375,26 @@ pub fn replay(
                 req_cos2[i].push(request.cos2);
             }
         }
-        if orch.is_none() {
-            // Teleport: the plan's assignment takes effect instantly.
-            eff.clone_from(&plan.assignment);
-            for list in hosted.iter_mut() {
-                list.clear();
-            }
-            for i in 0..n {
-                if let Some(s) = plan.assignment[i] {
-                    hosted[s].push(i);
-                }
-            }
-        }
 
         for slot in seg.start..seg.end {
             // Migration machine, slot start: begin eligible moves under
             // the storm caps, then refresh the serving/reservation views
             // if anything changed (including the segment's retarget).
-            if let Some(orch) = orch.as_mut() {
-                let transitions = orch.begin_slot(slot, obs);
-                count_commits(
-                    &transitions,
-                    &mut migrations_per_app,
-                    &mut migrations_total,
-                    &mut window_migrations,
+            let transitions = orch.begin_slot(slot, machine_obs);
+            count_commits(
+                &transitions,
+                &mut migrations_per_app,
+                &mut migrations_total,
+                &mut window_migrations,
+            );
+            if orch.take_dirty() {
+                rebuild_views(
+                    orch.serving(),
+                    &orch.reservations(),
+                    &mut eff,
+                    &mut hosted,
+                    &mut reserved,
                 );
-                if orch.take_dirty() {
-                    rebuild_views(
-                        orch.serving(),
-                        &orch.reservations(),
-                        &mut eff,
-                        &mut hosted,
-                        &mut reserved,
-                    );
-                }
             }
             // Pass 1: read each app's precomputed request for this slot;
             // outstanding backlog rides along as extra CoS2.
@@ -529,11 +505,7 @@ pub fn replay(
                 // Utilization of (own) allocation for current demand —
                 // backlog drain uses headroom and is not charged against
                 // the band.
-                let u = if g_base > EPSILON {
-                    serve_now.min(g_base) / g_base
-                } else {
-                    0.0
-                };
+                let u = utilization_of_allocation(serve_now, g_base);
                 if plan.degraded || recovering {
                     util_degraded[i].push(u);
                 } else {
@@ -543,20 +515,16 @@ pub fn replay(
                 // Health verdict for the migration machine: the slot is
                 // healthy when current demand was fully served within
                 // the app's utilization band.
-                if orch.is_some() {
-                    healthy[i] = shortfall <= EPSILON && u <= band_high[i] + EPSILON;
-                }
+                healthy[i] = shortfall <= EPSILON && u <= band_high[i] + EPSILON;
             }
             // Migration machine, slot end: apply drain/health progress.
-            if let Some(orch) = orch.as_mut() {
-                let transitions = orch.complete_slot(slot, &contended_flags, &healthy, obs);
-                count_commits(
-                    &transitions,
-                    &mut migrations_per_app,
-                    &mut migrations_total,
-                    &mut window_migrations,
-                );
-            }
+            let transitions = orch.complete_slot(slot, &contended_flags, &healthy, machine_obs);
+            count_commits(
+                &transitions,
+                &mut migrations_per_app,
+                &mut migrations_total,
+                &mut window_migrations,
+            );
             backlog_series.push(slot_backlog);
             if slot_shed > EPSILON {
                 obs.counter("chaos.replay.shed_slots", 1);
@@ -658,10 +626,10 @@ pub fn replay(
         });
     }
 
-    // Per-move timelines and recovery metrics when the machine ran.
-    let migration = orch.map(|o| {
+    // Per-move timelines and recovery metrics for a configured model.
+    let migration = options.migration.map(|_| {
         let names: Vec<&str> = apps.iter().map(|a| a.name.as_str()).collect();
-        o.report(&names)
+        orch.report(&names)
     });
 
     slo.record_counters(obs);
@@ -693,8 +661,7 @@ pub fn replay(
 }
 
 /// Books committed transitions into the per-app / fleet / per-window
-/// migration tallies — the machine-driven twin of the teleport path's
-/// boundary counting.
+/// migration tallies: a move counts once, when it commits.
 fn count_commits(
     transitions: &[ropus_placement::migration::Transition],
     migrations_per_app: &mut [usize],
@@ -1351,6 +1318,10 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// An explicit zero-cost config and the unconfigured replay run the
+    /// same machine path, so this now pins only that `None` attaches no
+    /// report. The reference for the pre-machine teleport replay is the
+    /// golden files in `tests/golden/` (`tests/migration.rs`).
     #[test]
     fn teleport_migration_reproduces_legacy_replay_byte_for_byte() {
         let cons = consolidator(1);

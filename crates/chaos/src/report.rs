@@ -124,8 +124,10 @@ pub struct ChaosReport {
     pub windows: Vec<DegradedWindow>,
     /// Per-move timelines and fleet recovery metrics from the migration
     /// state machine. `None` (and omitted from JSON) when the replay ran
-    /// with instantaneous teleport re-placement, so legacy reports
-    /// serialize exactly as before.
+    /// without a configured migration model
+    /// ([`ReplayOptions::migration`](crate::ReplayOptions::migration)
+    /// `None`: zero-cost moves, unreported), so those reports serialize
+    /// exactly as before the machine existed.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub migration: Option<MigrationReport>,
     /// Streaming SLO attainment against each app's normal contract, with

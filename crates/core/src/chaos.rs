@@ -78,11 +78,13 @@ impl Framework {
     /// [`chaos_replay_on`](Self::chaos_replay_on) with an explicit
     /// migration lifecycle model.
     ///
-    /// `Some(config)` drives every re-placement through the migration
-    /// state machine (drain → transfer → cutover → health check, storm
-    /// caps) and attaches a
+    /// Every re-placement goes through the migration state machine
+    /// (drain → transfer → cutover → health check, storm caps).
+    /// `Some(config)` runs it under `config` and attaches a
     /// [`MigrationReport`](ropus_placement::migration::MigrationReport)
-    /// to the output; `None` keeps the historical teleport behavior.
+    /// to the output; `None` runs it under the zero-cost
+    /// [`MigrationConfig::teleport`], so moves take effect at the start
+    /// of each re-planned segment, and attaches no report.
     ///
     /// # Errors
     ///

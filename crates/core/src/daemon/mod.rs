@@ -638,6 +638,8 @@ impl Daemon {
         if self.config.max_servers.is_some_and(|cap| server >= cap) {
             return Response::error("migrate", format!("server {server} is beyond the pool cap"));
         }
+        // A free move commits here, in the command, and mints no move
+        // ticket; the replays route even free moves through the machine.
         if self.config.migration.is_teleport() {
             return match self.session.reassign(id, server) {
                 Ok(_) => {

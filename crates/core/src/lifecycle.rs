@@ -19,9 +19,7 @@
 use ropus_obs::{BurnRateRule, ObsCtx, SloEngine, SloSummary};
 use serde::{Deserialize, Serialize};
 
-use ropus_placement::migration::{
-    MigrationConfig, MigrationOrchestrator, MigrationPhase, MigrationReport, MoveRecord,
-};
+use ropus_placement::migration::{MigrationConfig, MigrationOrchestrator, MigrationReport};
 use ropus_trace::Trace;
 use ropus_wlm::host::{Host, HostedWorkload};
 use ropus_wlm::manager::WlmPolicy;
@@ -42,10 +40,10 @@ pub struct EpochOutcome {
     pub violations: usize,
     /// Fraction of applications compliant out of sample.
     pub compliant_fraction: f64,
-    /// Workloads that changed servers relative to the previous epoch's
-    /// placement (0 for the first epoch). Under a paced migration config
-    /// this counts moves the state machine actually *committed*, not
-    /// re-plan deltas.
+    /// Moves the migration state machine committed while carrying the
+    /// previous epoch's placement to this one (0 for the first epoch).
+    /// Under the zero-cost teleport config every re-plan delta commits
+    /// at once, so this is the number of workloads that changed servers.
     pub migrations: usize,
     /// Rollbacks the epoch's migration machine performed (always 0 under
     /// the teleport config).
@@ -117,17 +115,22 @@ impl Framework {
     /// [`run_lifecycle`](Self::run_lifecycle) under an explicit migration
     /// cost model.
     ///
-    /// With the zero-cost [`MigrationConfig::teleport`] (what
-    /// `run_lifecycle` uses) each epoch's re-plan takes effect instantly
-    /// and `migrations` counts assignment deltas — the historical
-    /// behavior, bit for bit. A paced config drives every epoch
-    /// adjustment through the migration state machine instead: moves
-    /// start under the storm caps, the source serves until cutover, the
-    /// destination is double-booked while a move is in flight, and the
-    /// out-of-sample replay models all of it with residency windows and
-    /// reservation pressure on each host. `migrations` then counts
-    /// *committed* moves, and `rolled_back`/`failed` surface the machine's
-    /// failures.
+    /// Every epoch's adjustment walks the migration state machine over
+    /// the unseen week: moves start under the storm caps, the source
+    /// serves until cutover, and the destination is double-booked while
+    /// a move is in flight. Who serves where, and which servers hold
+    /// reservations, is read slot by slot from the machine's
+    /// `serving()`/`reservations()` views, as in the chaos replay, and
+    /// the out-of-sample replay runs each host over those residency
+    /// windows with the reservations pressing on its scales.
+    /// `migrations` counts *committed* moves, and `rolled_back`/`failed`
+    /// surface the machine's failures.
+    ///
+    /// Under the zero-cost [`MigrationConfig::teleport`] (what
+    /// `run_lifecycle` uses) every move commits at the start of the
+    /// week, so each host replays the new placement's members for the
+    /// whole week with no reservations, and `migrations` is the number
+    /// of workloads that changed servers.
     ///
     /// # Errors and panics
     ///
@@ -189,75 +192,22 @@ impl Framework {
             let placement = consolidator.consolidate(&workloads, ObsCtx::none())?;
             let slots_per_week = first.demand().calendar().slots_per_week();
 
-            // Under a paced config (and once a baseline exists), walk the
-            // epoch's adjustment through the migration state machine.
-            let machine = match &previous_assignment {
-                Some(prev) if !migration.is_teleport() => {
-                    let names: Vec<&str> = apps.iter().map(AppSpec::name).collect();
-                    Some(drive_epoch_moves(
-                        prev,
-                        &placement.assignment,
-                        migration,
-                        slots_per_week,
-                        &names,
-                    ))
-                }
-                _ => None,
-            };
-
-            // Replay the unseen week through each placed host, collecting
-            // every app's delivered utilization-of-allocation row.
-            let util: Vec<Vec<f64>> =
-                if let (Some(report), Some(prev)) = (&machine, &previous_assignment) {
-                    self.replay_week_with_moves(
-                        apps,
-                        &plans,
-                        &placement.assignment,
-                        prev,
-                        report,
-                        week,
-                        slots_per_week,
-                    )?
-                } else {
-                    let mut util: Vec<Vec<f64>> = vec![Vec::new(); apps.len()];
-                    for server_placement in &placement.servers {
-                        let hosted: Vec<HostedWorkload> = server_placement
-                            .workloads
-                            .iter()
-                            .map(|&i| {
-                                // lint:allow(panic-slice-index): the consolidator
-                                // built this placement over these same apps and
-                                // plans, so every index is in range.
-                                let (app, plan) = (&apps[i], &plans[i]);
-                                let demand = app
-                                    .demand()
-                                    .weeks_range(week, week + 1)
-                                    // lint:allow(panic-expect): `week` iterates
-                                    // `window_weeks..weeks`, inside the trace.
-                                    .expect("week bounds checked above");
-                                let policy =
-                                    WlmPolicy::from_translation(&app.policy().normal, &plan.normal);
-                                HostedWorkload::new(app.name(), demand, policy)
-                            })
-                            .collect();
-                        let host = Host::new(self.server().capacity())?;
-                        let outcome = host.run(&hosted, ObsCtx::none())?;
-                        // Host outcomes are returned in hosted order, which is
-                        // the placement's workload order — pair them back up
-                        // by zip.
-                        for (wo, &app_index) in
-                            outcome.workloads.iter().zip(&server_placement.workloads)
-                        {
-                            // lint:allow(panic-slice-index): placement indices
-                            // are in range (see above).
-                            // lint:allow(needless-trace-clone): the row is moved
-                            // into the shared util table, which outlives the
-                            // per-server outcome.
-                            util[app_index] = wo.utilization.samples().to_vec();
-                        }
-                    }
-                    util
-                };
+            // Walk the epoch's adjustment through the migration machine
+            // (the first epoch has no baseline: nothing moves), then
+            // replay the unseen week over the residency it produced.
+            let prev = previous_assignment
+                .as_deref()
+                .unwrap_or(&placement.assignment);
+            let names: Vec<&str> = apps.iter().map(AppSpec::name).collect();
+            let (report, residency) = walk_epoch_moves(
+                prev,
+                &placement.assignment,
+                migration,
+                slots_per_week,
+                &names,
+            );
+            let util =
+                self.replay_week_with_moves(apps, &plans, &residency, week, slots_per_week)?;
 
             // Audit each stitched row against the normal contract and
             // stream it through the SLO engine slot-major, so the alert
@@ -280,27 +230,15 @@ impl Framework {
             }
             let slo_alerts = slo.drain_alerts().len();
 
-            let (migrations, rolled_back, failed) = match (&machine, &previous_assignment) {
-                (Some(report), _) => (report.committed, report.rolled_back, report.failed),
-                (None, Some(prev)) => (
-                    prev.iter()
-                        .zip(&placement.assignment)
-                        .filter(|(a, b)| a != b)
-                        .count(),
-                    0,
-                    0,
-                ),
-                (None, None) => (0, 0, 0),
-            };
             previous_assignment = Some(placement.assignment.clone());
             epochs.push(EpochOutcome {
                 week,
                 servers: placement.servers_used,
                 violations,
                 compliant_fraction: 1.0 - violations as f64 / apps.len() as f64,
-                migrations,
-                rolled_back,
-                failed,
+                migrations: report.committed,
+                rolled_back: report.rolled_back,
+                failed: report.failed,
                 slo_alerts,
             });
         }
@@ -312,64 +250,27 @@ impl Framework {
         })
     }
 
-    /// Replays the unseen week with the epoch's committed moves modeled
-    /// as residency windows and its in-flight phases as capacity
-    /// reservations. Returns every application's stitched
-    /// utilization-of-allocation row for the week, in fleet order.
-    #[allow(clippy::too_many_arguments)]
+    /// Replays the unseen week on every host that served someone, each
+    /// member active over its residency window and each reservation
+    /// pressing on the host's scales over its own. Returns every
+    /// application's stitched utilization-of-allocation row for the
+    /// week, in fleet order.
     fn replay_week_with_moves(
         &self,
         apps: &[AppSpec],
         plans: &[AppPlan],
-        assignment: &[usize],
-        prev: &[usize],
-        report: &MigrationReport,
+        residency: &EpochResidency,
         week: usize,
         slots_per_week: usize,
     ) -> Result<Vec<Vec<f64>>, FrameworkError> {
-        let server_count = prev
-            .iter()
-            .chain(assignment.iter())
-            .copied()
-            .max()
-            .map_or(0, |m| m + 1);
-        // Per-server residency (member) and reservation windows, as
-        // `(app, start, end)` half-open slot ranges.
-        let mut member_segs: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); server_count];
-        let mut reserve_segs: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); server_count];
-        let mut moved = vec![false; apps.len()];
-        for m in &report.moves {
-            if m.app >= apps.len() || m.to >= server_count {
-                continue;
-            }
-            // lint:allow(panic-slice-index): m.app < apps.len() checked
-            // above; moved has one entry per app.
-            moved[m.app] = true;
-            segment_move(m, slots_per_week, &mut member_segs, &mut reserve_segs);
-        }
-        for (app, &server) in prev.iter().enumerate() {
-            // lint:allow(panic-slice-index): prev and moved both have
-            // one entry per app.
-            if !moved[app] && server < server_count {
-                // lint:allow(panic-slice-index): server < server_count.
-                member_segs[server].push((app, 0, slots_per_week));
-            }
-        }
-
         let mut util: Vec<Vec<f64>> = vec![vec![0.0; slots_per_week]; apps.len()];
-        for server in 0..server_count {
-            // lint:allow(panic-slice-index): server < server_count.
-            let segs: Vec<(usize, usize, usize)> = member_segs[server]
-                .iter()
-                .copied()
-                .filter(|&(_, s, e)| s < e)
-                .collect();
-            if segs.is_empty() {
+        for (members, reserved) in residency.members.iter().zip(&residency.reservations) {
+            if members.is_empty() {
                 continue;
             }
-            let build = |&(app, start, end): &(usize, usize, usize)| {
-                // lint:allow(panic-slice-index): move records and prev
-                // were bounds-checked against apps above.
+            let build = |&(app, start, end): &Window| {
+                // lint:allow(panic-slice-index): windows come from the
+                // placements of these same apps.
                 let (a, plan) = (&apps[app], &plans[app]);
                 let demand = a
                     .demand()
@@ -380,138 +281,118 @@ impl Framework {
                 let policy = WlmPolicy::from_translation(&a.policy().normal, &plan.normal);
                 HostedWorkload::new(a.name(), demand, policy).with_window(start, end)
             };
-            let hosted: Vec<HostedWorkload> = segs.iter().map(build).collect();
-            // lint:allow(panic-slice-index): server < server_count.
-            let reserved: Vec<HostedWorkload> = reserve_segs[server]
-                .iter()
-                .filter(|&&(_, s, e)| s < e)
-                .map(build)
-                .collect();
+            let hosted: Vec<HostedWorkload> = members.iter().map(build).collect();
+            let reserved: Vec<HostedWorkload> = reserved.iter().map(build).collect();
             let host = Host::new(self.server().capacity())?;
             let outcome = host.run_with_reservations(&hosted, &reserved, ObsCtx::none())?;
             // Stitch: each member window's utilization belongs to its
             // app for exactly those slots.
-            for (wo, &(app, start, end)) in outcome.workloads.iter().zip(&segs) {
-                let u = wo.utilization.samples();
-                // lint:allow(panic-slice-index): windows are clamped to
+            for (wo, &(app, start, end)) in outcome.workloads.iter().zip(members) {
+                // lint:allow(panic-slice-index): windows end at
                 // `slots_per_week`, the length of both buffers.
-                util[app][start..end].copy_from_slice(&u[start..end]);
+                util[app][start..end].copy_from_slice(&wo.utilization.samples()[start..end]);
             }
         }
-
         Ok(util)
     }
 }
 
-/// Drives one epoch's assignment delta through the migration state
-/// machine over an idealized week — no contention, healthy destinations
-/// — bounded by the week's slot count. The storm caps, drain/transfer
-/// costs, and backoffs still pace the wave; the caller's replay then
-/// models the capacity impact of the resulting windows.
-fn drive_epoch_moves(
+/// A residency or reservation window: `(app, start, end)`, a half-open
+/// slot range.
+type Window = (usize, usize, usize);
+
+/// Where the applications served, and where in-flight moves held
+/// reservations, over one epoch's week: per server, windows ordered by
+/// (app, start).
+#[derive(Debug, Clone, PartialEq)]
+struct EpochResidency {
+    members: Vec<Vec<Window>>,
+    reservations: Vec<Vec<Window>>,
+}
+
+/// Walks one epoch's adjustment from `prev` to `next` through the
+/// migration machine over an idealized week (no contention, every
+/// destination healthy). The storm caps, drain/transfer costs and
+/// backoffs still pace the wave. Residency is read from the machine's
+/// views exactly as the chaos slot loop reads them: after each
+/// `begin_slot` that leaves the machine dirty, every app serves on its
+/// `serving()` server and every in-flight move books its
+/// `reservations()` server until the views next change. Windows still
+/// open at the week's end close there.
+fn walk_epoch_moves(
     prev: &[usize],
     next: &[usize],
     config: MigrationConfig,
-    max_slots: usize,
+    slots: usize,
     names: &[&str],
-) -> MigrationReport {
-    let initial: Vec<Option<usize>> = prev.iter().map(|&s| Some(s)).collect();
+) -> (MigrationReport, EpochResidency) {
+    let servers = prev.iter().chain(next).max().map_or(0, |m| m + 1);
+    let mut residency = EpochResidency {
+        members: vec![Vec::new(); servers],
+        reservations: vec![Vec::new(); servers],
+    };
+    let mut orch = MigrationOrchestrator::new(config, prev.iter().map(|&s| Some(s)).collect());
     let target: Vec<Option<usize>> = next.iter().map(|&s| Some(s)).collect();
-    let mut orch = MigrationOrchestrator::new(config, initial);
     orch.retarget(&target, &[], 0, None, ObsCtx::none());
-    for slot in 0..max_slots {
+    // Each app's open member and reservation window: (server, start).
+    let mut serving: Vec<Option<(usize, usize)>> = vec![None; prev.len()];
+    let mut booked: Vec<Option<(usize, usize)>> = vec![None; prev.len()];
+    let mut booked_now: Vec<Option<usize>> = vec![None; prev.len()];
+    for slot in 0..slots {
+        orch.begin_slot(slot, ObsCtx::none());
+        if orch.take_dirty() {
+            booked_now.fill(None);
+            for (app, server) in orch.reservations() {
+                if let Some(b) = booked_now.get_mut(app) {
+                    *b = Some(server);
+                }
+            }
+            for (app, (open, &now)) in serving.iter_mut().zip(orch.serving()).enumerate() {
+                switch_window(open, now, app, slot, &mut residency.members);
+            }
+            for (app, (open, &now)) in booked.iter_mut().zip(&booked_now).enumerate() {
+                switch_window(open, now, app, slot, &mut residency.reservations);
+            }
+        }
         if orch.is_idle() {
             break;
         }
-        orch.begin_slot(slot, ObsCtx::none());
         orch.complete_slot(slot, &[], &[], ObsCtx::none());
     }
-    orch.report(names)
+    for (app, open) in serving.iter_mut().enumerate() {
+        switch_window(open, None, app, slots, &mut residency.members);
+    }
+    for (app, open) in booked.iter_mut().enumerate() {
+        switch_window(open, None, app, slots, &mut residency.reservations);
+    }
+    for windows in residency
+        .members
+        .iter_mut()
+        .chain(residency.reservations.iter_mut())
+    {
+        windows.sort_unstable();
+    }
+    (orch.report(names), residency)
 }
 
-/// Converts one move's timeline into residency and reservation windows,
-/// clamped to the week: the source serves until the cutover slot ends,
-/// the destination is booked from drain start through cutover, and the
-/// source stays booked through the health check (rollbacks hand serving
-/// back and release both ends).
-fn segment_move(
-    m: &MoveRecord,
-    slots_per_week: usize,
-    member_segs: &mut [Vec<(usize, usize, usize)>],
-    reserve_segs: &mut [Vec<(usize, usize, usize)>],
+/// Moves `app`'s open window to server `now` at `slot`: the old window
+/// (if any, and if it is on another server) closes into `windows`.
+fn switch_window(
+    open: &mut Option<(usize, usize)>,
+    now: Option<usize>,
+    app: usize,
+    slot: usize,
+    windows: &mut [Vec<Window>],
 ) {
-    let clamp = |slot: usize| slot.min(slots_per_week);
-    let mut serving = m.from;
-    let mut seg_start = 0usize;
-    let mut dest_res: Option<usize> = None;
-    let mut src_res: Option<usize> = None;
-    for p in &m.timeline {
-        match p.phase {
-            MigrationPhase::Draining | MigrationPhase::Transferring => {
-                dest_res = dest_res.or(Some(p.slot));
-            }
-            MigrationPhase::Cutover => {
-                let end = clamp(p.slot + 1);
-                if let Some(s) = dest_res.take() {
-                    // lint:allow(panic-slice-index): caller checked
-                    // `m.to < server_count`.
-                    reserve_segs[m.to].push((m.app, s, end));
-                }
-                if let Some(srv) = serving {
-                    // lint:allow(panic-slice-index): `from` servers are
-                    // drawn from the previous assignment.
-                    member_segs[srv].push((m.app, seg_start, end));
-                }
-                if m.from.is_some() {
-                    src_res = Some(end);
-                }
-                serving = Some(m.to);
-                seg_start = end;
-            }
-            MigrationPhase::Committed => {
-                if let (Some(s), Some(src)) = (src_res.take(), m.from) {
-                    // lint:allow(panic-slice-index): see above.
-                    reserve_segs[src].push((m.app, s, clamp(p.slot + 1)));
-                }
-            }
-            MigrationPhase::RolledBack => {
-                let end = clamp(p.slot + 1);
-                if let Some(s) = dest_res.take() {
-                    // lint:allow(panic-slice-index): see above.
-                    reserve_segs[m.to].push((m.app, s, end));
-                }
-                if let Some(s) = src_res.take() {
-                    if let Some(src) = m.from {
-                        // lint:allow(panic-slice-index): see above.
-                        reserve_segs[src].push((m.app, s, end));
-                    }
-                    // The destination served since cutover; rollback
-                    // hands the app back to its source.
-                    if let Some(srv) = serving {
-                        // lint:allow(panic-slice-index): see above.
-                        member_segs[srv].push((m.app, seg_start, end));
-                    }
-                    serving = m.from;
-                    seg_start = end;
-                }
-            }
-            _ => {}
+    if open.map(|(server, _)| server) == now {
+        return;
+    }
+    if let Some((server, start)) = open.take() {
+        if let Some(list) = windows.get_mut(server) {
+            list.push((app, start, slot));
         }
     }
-    if let Some(s) = dest_res {
-        // lint:allow(panic-slice-index): see above.
-        reserve_segs[m.to].push((m.app, s, slots_per_week));
-    }
-    if let (Some(s), Some(src)) = (src_res, m.from) {
-        // lint:allow(panic-slice-index): see above.
-        reserve_segs[src].push((m.app, s, slots_per_week));
-    }
-    if let Some(srv) = serving {
-        if seg_start < slots_per_week {
-            // lint:allow(panic-slice-index): see above.
-            member_segs[srv].push((m.app, seg_start, slots_per_week));
-        }
-    }
+    *open = now.map(|server| (server, slot));
 }
 
 #[cfg(test)]
@@ -604,6 +485,9 @@ mod tests {
         );
     }
 
+    /// `run_lifecycle` is `run_lifecycle_with` under the teleport config.
+    /// The reference for the pre-machine teleport replay is the committed
+    /// `results/lifecycle_out_of_sample.tsv`.
     #[test]
     fn teleport_config_reproduces_run_lifecycle_exactly() {
         let apps = fleet_specs(10, 15, 4);
@@ -631,7 +515,7 @@ mod tests {
             .unwrap();
         assert_eq!(paced.epochs.len(), plain.epochs.len());
         // Same plans are produced either way, so committed moves can
-        // never exceed the re-plan deltas the teleport path counts.
+        // never exceed the re-plan deltas the teleport config commits.
         for (p, t) in paced.epochs.iter().zip(&plain.epochs) {
             assert_eq!(p.week, t.week);
             assert_eq!(p.servers, t.servers);
@@ -669,6 +553,84 @@ mod tests {
             report.epochs.iter().map(|e| e.slo_alerts).sum::<usize>(),
             slo.alerts.len(),
             "per-epoch alert counts partition the alert log"
+        );
+    }
+
+    /// One week of ten slots: short enough to list every window.
+    const W: usize = 10;
+
+    fn walk(prev: &[usize], next: &[usize], config: MigrationConfig) -> EpochResidency {
+        let names = ["a", "b", "c"];
+        walk_epoch_moves(prev, next, config, W, &names).1
+    }
+
+    #[test]
+    fn teleport_moves_serve_the_new_placement_all_week() {
+        let residency = walk(&[0, 1, 0], &[1, 1, 0], MigrationConfig::teleport());
+        // Exactly each server's members of the new placement, in fleet
+        // order, for the whole week, with nothing reserved.
+        assert_eq!(
+            residency.members,
+            vec![vec![(2, 0, W)], vec![(0, 0, W), (1, 0, W)]]
+        );
+        assert_eq!(residency.reservations, vec![Vec::new(), Vec::new()]);
+    }
+
+    #[test]
+    fn slot_start_cutover_serves_the_destination_from_that_slot() {
+        // Free drain and transfer: the move from 0 to 1 planned at slot
+        // 0 cuts over inside `begin_slot(0)`, so the destination serves
+        // the whole week. The source stays reserved through the two
+        // health slots (commit at the end of slot 1). App 0 is resident
+        // on server 1 throughout; windows are ordered by app.
+        let config = MigrationConfig {
+            drain_slots: 0,
+            transfer_slots: 0,
+            health_slots: 2,
+            ..MigrationConfig::paced()
+        };
+        let residency = walk(&[1, 0], &[1, 1], config);
+        assert_eq!(
+            residency.members,
+            vec![Vec::new(), vec![(0, 0, W), (1, 0, W)]]
+        );
+        assert_eq!(residency.reservations, vec![vec![(1, 0, 2)], Vec::new()]);
+    }
+
+    #[test]
+    fn paced_move_windows_follow_its_phases() {
+        // Drain slots 0-1 and transfer slot 2 keep the source serving and
+        // the destination reserved; cutover at the end of slot 2 hands
+        // serving over from slot 3; the source stays reserved through
+        // the health slots 3-4 and is released once the move commits.
+        let (report, residency) = walk_epoch_moves(&[0], &[1], MigrationConfig::paced(), W, &["a"]);
+        assert_eq!(report.committed, 1);
+        assert_eq!(residency.members, vec![vec![(0, 0, 3)], vec![(0, 3, W)]]);
+        assert_eq!(
+            residency.reservations,
+            vec![vec![(0, 3, 5)], vec![(0, 0, 3)]]
+        );
+    }
+
+    #[test]
+    fn rolled_back_drains_release_their_reservations() {
+        // A one-slot drain deadline under a two-slot drain rolls the move
+        // back at the end of slot 0, retries at slot 2 after the backoff,
+        // and fails there: the app never leaves its source, and the
+        // destination is booked only while each attempt drains.
+        let config = MigrationConfig {
+            max_retries: 1,
+            ..MigrationConfig::paced().with_drain_deadline(1)
+        };
+        let (report, residency) = walk_epoch_moves(&[0], &[1], config, W, &["a"]);
+        assert_eq!(
+            (report.committed, report.rolled_back, report.failed),
+            (0, 2, 1)
+        );
+        assert_eq!(residency.members, vec![vec![(0, 0, W)], Vec::new()]);
+        assert_eq!(
+            residency.reservations,
+            vec![Vec::new(), vec![(0, 0, 1), (0, 2, 3)]]
         );
     }
 

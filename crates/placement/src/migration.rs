@@ -46,8 +46,11 @@
 //! moves in plan order, candidate starts are sorted by the total order
 //! `(priority, sequence)`, and no clocks or RNG are consulted. The
 //! zero-cost [`MigrationConfig::teleport`] configuration commits every
-//! move in the slot it is planned, reproducing the historical
-//! "teleport" replay bit-for-bit (proptests in `tests/chaos.rs`).
+//! move inside the `begin_slot` of the slot it is planned, so serving
+//! flips at that slot's start. The chaos replay and the lifecycle loop
+//! run every re-placement through this machine and read residency from
+//! its views; golden outputs captured from their former teleport paths
+//! (`tests/golden/`, `results/lifecycle_out_of_sample.tsv`) pin that.
 
 use serde::{Deserialize, Serialize};
 
@@ -81,8 +84,8 @@ pub struct MigrationConfig {
 
 impl MigrationConfig {
     /// The zero-cost configuration: every phase is free and no storm
-    /// limits apply, so moves commit in the slot they are planned —
-    /// bit-for-bit the historical teleport behavior.
+    /// limits apply, so moves commit at the start of the slot they are
+    /// planned in.
     pub fn teleport() -> Self {
         MigrationConfig {
             drain_slots: 0,
@@ -112,8 +115,9 @@ impl MigrationConfig {
         }
     }
 
-    /// Whether every phase is free and unlimited (the teleport fast
-    /// path: moves commit in their planning slot).
+    /// Whether every phase is free and unlimited, so a move commits in
+    /// its planning slot. The serve daemon uses it to commit a `migrate`
+    /// synchronously instead of minting a move ticket.
     pub fn is_teleport(&self) -> bool {
         self.drain_slots == 0
             && self.transfer_slots == 0

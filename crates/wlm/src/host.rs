@@ -15,6 +15,7 @@ use ropus_trace::{kernels, Trace, TraceError};
 
 use crate::error::WlmError;
 use crate::manager::{WlmPolicy, WorkloadManager};
+use crate::metrics::utilization_of_allocation;
 
 /// Bucket bounds of the `wlm.host.saturation` histogram: per-slot granted
 /// capacity as a fraction of the host's limit.
@@ -99,8 +100,9 @@ pub struct WorkloadOutcome {
     pub served: Trace,
     /// Demand that found no capacity, per slot.
     pub unmet: Trace,
-    /// Measured utilization of allocation per slot (`served / granted`,
-    /// 0 where nothing was granted).
+    /// Measured utilization of allocation per slot
+    /// ([`utilization_of_allocation`]: `served / granted`, 0 where
+    /// nothing beyond float residue was granted).
     pub utilization: Trace,
 }
 
@@ -291,7 +293,7 @@ impl Host {
             let mut utilization = Vec::with_capacity(len);
             for ((&d, &g), &s) in demand.iter().zip(&granted).zip(&served) {
                 unmet.push(d - s);
-                utilization.push(if g > 0.0 { s / g } else { 0.0 });
+                utilization.push(utilization_of_allocation(s, g));
             }
             kernels::add_assign(&mut total_granted, &granted);
             kernels::add_assign(&mut slot_unmet, &unmet);

@@ -93,6 +93,22 @@ pub fn slo_contract(app: impl Into<String>, qos: &AppQos, slot_minutes: u32) -> 
     }
 }
 
+/// Grants at or below this many CPUs are float residue (for example of
+/// `capacity − cos1 · scale`), not an allocation.
+const GRANT_EPSILON: f64 = 1e-9;
+
+/// Utilization of allocation in one slot: the share of the grant that
+/// served current demand, `min(served, granted) / granted`, or 0 when
+/// nothing beyond float residue was granted. The host scheduler and the
+/// chaos replay both measure delivered QoS with this.
+pub fn utilization_of_allocation(served: f64, granted: f64) -> f64 {
+    if granted > GRANT_EPSILON {
+        served.min(granted) / granted
+    } else {
+        0.0
+    }
+}
+
 /// Streams a replayed utilization-of-allocation trace into the SLO
 /// engine, one observation per slot starting at `start_slot`.
 ///
@@ -201,6 +217,15 @@ mod tests {
 
     fn trace(samples: Vec<f64>) -> Trace {
         Trace::from_samples(cal(), samples).unwrap()
+    }
+
+    #[test]
+    fn utilization_of_allocation_ignores_residue_grants() {
+        assert_eq!(utilization_of_allocation(1.0, 4.0), 0.25);
+        // Served demand never counts beyond the grant.
+        assert_eq!(utilization_of_allocation(5.0, 4.0), 1.0);
+        assert_eq!(utilization_of_allocation(1e-10, 2e-10), 0.0);
+        assert_eq!(utilization_of_allocation(0.0, 0.0), 0.0);
     }
 
     #[test]

@@ -359,3 +359,48 @@ fn replay_surfaces_slo_attainment_and_burn_alerts() {
     let json = serde_json::to_string(&report).unwrap();
     assert!(json.contains("\"slo\"") && json.contains("\"alerts\""));
 }
+
+/// The chaos replay and the runtime validator measure delivered QoS the
+/// same way: on a failure-free horizon that sheds instead of carrying
+/// work over, every app's normal-mode audit from the replay is
+/// bit-identical to the audit `validate_runtime` computes on the same
+/// plan. The fleet includes an app whose every grant is float residue
+/// (`(0, 1e-9]` CPUs), which both surfaces must read as "nothing
+/// granted" (utilization 0), not as an allocation.
+#[test]
+fn failure_free_replay_audits_match_runtime_validation() {
+    let mut apps = case_study_apps(6);
+    let calendar = apps[0].demand().calendar();
+    let residue = Trace::constant(calendar, 1e-10, apps[0].demand().len()).unwrap();
+    apps.push(AppSpec::new("residue", residue, policy()));
+    let fw = framework(5, 1);
+    let plan = fw.plan(&apps).unwrap();
+    let runtime = fw.validate_runtime(&apps, &plan).unwrap();
+    let report = fw
+        .chaos_replay_on(
+            &apps,
+            &plan.normal_placement,
+            &FailureSchedule::none(),
+            DegradationPolicy::shed_immediately(),
+        )
+        .unwrap();
+    assert_eq!(report.apps.len(), runtime.apps.len());
+    for (replayed, validated) in report.apps.iter().zip(&runtime.apps) {
+        assert_eq!(replayed.name, validated.name);
+        let replayed_audit = replayed
+            .normal_audit
+            .as_ref()
+            .expect("every slot is normal");
+        assert_eq!(
+            serde_json::to_string(replayed_audit).unwrap(),
+            serde_json::to_string(&validated.audit).unwrap(),
+            "{}",
+            replayed.name
+        );
+    }
+    let residue = runtime.apps.last().unwrap();
+    assert_eq!(
+        residue.audit.max_utilization, 0.0,
+        "residue grants are not allocations"
+    );
+}
