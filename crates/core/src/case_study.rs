@@ -21,12 +21,12 @@ use serde::{Deserialize, Serialize};
 
 use ropus_obs::ObsCtx;
 use ropus_placement::consolidate::{ConsolidationOptions, Consolidator, PlacementReport};
-use ropus_placement::engine::parallel_map;
 use ropus_placement::server::ServerSpec;
 use ropus_placement::workload::Workload;
 use ropus_qos::translation::{translate, TranslationReport};
 use ropus_qos::{AppQos, CosSpec, DegradationSpec, PoolCommitments, UtilizationBand};
 use ropus_trace::gen::AppWorkload;
+use ropus_trace::parallel::parallel_map;
 
 use crate::FrameworkError;
 
@@ -141,7 +141,7 @@ pub fn translate_fleet(
 /// Translates the whole fleet across `threads` workers.
 ///
 /// Per-app translations are independent, and the order-preserving
-/// [`parallel_map`](ropus_placement::engine::parallel_map()) joins
+/// [`parallel_map`](ropus_trace::parallel::parallel_map()) joins
 /// results in input order, so the output — and every placement computed
 /// from it — is bit-identical to the serial [`translate_fleet`] path.
 ///

@@ -8,8 +8,9 @@ use ropus_obs::ObsCtx;
 use serde::{Deserialize, Serialize};
 
 use ropus_qos::PoolCommitments;
+use ropus_trace::parallel::parallel_map;
 
-use crate::engine::{parallel_map, EngineStats, FitEngine, FitMemo, MemoStats};
+use crate::engine::{EngineStats, FitEngine, FitMemo, MemoStats};
 use crate::ga::{optimize, GaOptions, GaOutcome};
 use crate::greedy::{place, servers_used, GreedyStrategy};
 use crate::server::{Pool, ServerSpec};

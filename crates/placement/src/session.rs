@@ -34,9 +34,10 @@
 use serde::{Deserialize, Serialize};
 
 use ropus_qos::PoolCommitments;
+use ropus_trace::parallel::parallel_map;
 
 use crate::consolidate::{PlacementReport, ServerPlacement};
-use crate::engine::{parallel_map, EngineStats};
+use crate::engine::EngineStats;
 use crate::score::{assignment_score_with, ScoreModel, ServerOutcome};
 use crate::server::ServerSpec;
 use crate::simulator::{AggregateLoad, FitOptions, FitRequest};

@@ -166,7 +166,7 @@ pub fn translate(
     let d_max = demand.peak();
 
     // Step 2 (formulas 2-3): the M_degr percentile relaxation.
-    let d_cap_mdegr = demand_cap(demand, qos);
+    let d_cap_mdegr = demand_cap(demand, d_max, qos);
 
     // Step 3 (formulas 6-11): the T_degr contiguous-time analysis.
     let (mut d_new_max, mut iterations) =
@@ -272,8 +272,10 @@ pub fn translate(
 /// (`A_degr = D_max / U_degr`), the cap is `D_M%`; otherwise it is the
 /// larger `D_max · U_high / U_degr` needed to keep the worst observation at
 /// or below `U_degr`.
-pub fn demand_cap(demand: &Trace, qos: &AppQos) -> f64 {
-    let d_max = demand.peak();
+///
+/// `d_max` is the demand's peak, `demand.peak()`: [`translate`] scans for
+/// it once and shares it with this cap.
+pub fn demand_cap(demand: &Trace, d_max: f64, qos: &AppQos) -> f64 {
     let Some(degr) = qos.degradation() else {
         return d_max;
     };
@@ -524,7 +526,7 @@ mod tests {
         // 3% of points at 1.3, the rest at 1.0: D_97% = 1.0, A_ok = 1.515,
         // A_degr = 1.3/0.9 = 1.444 -> percentile wins.
         let t = spiky(3000, 1.3, 34);
-        let cap = demand_cap(&t, &qos_no_limit());
+        let cap = demand_cap(&t, t.peak(), &qos_no_limit());
         let d97 = t.percentile(97.0);
         assert_eq!(cap, d97);
     }
@@ -533,7 +535,7 @@ mod tests {
     fn mdegr_cap_uses_degraded_bound_for_tall_spikes() {
         // Spikes of 10x: A_degr = 10/0.9 = 11.1 > A_ok = 1/0.66.
         let t = spiky(3000, 10.0, 100);
-        let cap = demand_cap(&t, &qos_no_limit());
+        let cap = demand_cap(&t, t.peak(), &qos_no_limit());
         assert!((cap - 10.0 * 0.66 / 0.9).abs() < 1e-9);
         // This is the MaxCapReduction upper bound: 1 - U_high/U_degr.
         let tr = translate(&t, &qos_no_limit(), &cos(0.6), ObsCtx::none()).unwrap();

@@ -1,6 +1,7 @@
 use serde::{Deserialize, Serialize};
 
-use super::{generate, BurstModel, WorkloadProfile};
+use super::{generate_with, BurstModel, WorkloadProfile};
+use crate::parallel::parallel_map_init;
 use crate::rng::Rng;
 use crate::{Calendar, Trace};
 
@@ -16,7 +17,9 @@ pub struct AppWorkload {
 /// Configuration of the synthetic case-study fleet.
 ///
 /// The defaults mirror the paper's §VII setup: 26 applications, four weeks
-/// of 5-minute CPU demand observations.
+/// of 5-minute CPU demand observations. The generated fleet is a pure
+/// function of these fields, whatever the number of worker threads
+/// [`case_study_fleet`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Master seed; the fleet is a pure function of this value.
@@ -58,6 +61,13 @@ impl Default for FleetConfig {
 ///   remaining observations;
 /// * apps 11–26: smooth diurnal workloads of varied scale and amplitude.
 ///
+/// Apps are generated in parallel, one worker per available CPU
+/// (`std::thread::available_parallelism`, 1 if unknown). The fleet is a
+/// pure function of the seed, whatever the worker count: every app draws
+/// from its own stream forked from the seed by its index, and results
+/// join in index order. The count is measured rather than configured
+/// because it cannot change a single sample.
+///
 /// # Example
 ///
 /// ```
@@ -68,22 +78,30 @@ impl Default for FleetConfig {
 /// assert!(fleet.iter().all(|app| app.trace.weeks() == 4));
 /// ```
 pub fn case_study_fleet(config: &FleetConfig) -> Vec<AppWorkload> {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    fleet_on(config, threads)
+}
+
+/// [`case_study_fleet`] on `threads` workers. Each app's profile and
+/// noise stream fork from the root seed by the app's index, and
+/// [`parallel_map_init`] joins in input order, so the fleet is the same
+/// for every worker count; each worker reuses one weekly level buffer.
+pub(crate) fn fleet_on(config: &FleetConfig, threads: usize) -> Vec<AppWorkload> {
     assert!(
         config.apps > 0,
         "fleet must contain at least one application"
     );
     let root = Rng::seed_from_u64(config.seed);
-    (0..config.apps)
-        .map(|i| {
-            let profile = profile_for(i, &root);
-            let mut rng = root.fork(1000 + i as u64);
-            let trace = generate(&profile, config.calendar, config.weeks, &mut rng);
-            AppWorkload {
-                name: profile.name().to_string(),
-                trace,
-            }
-        })
-        .collect()
+    let indices: Vec<usize> = (0..config.apps).collect();
+    parallel_map_init(threads, &indices, Vec::new, |levels, &i| {
+        let profile = profile_for(i, &root);
+        let mut rng = root.fork(1000 + i as u64);
+        let trace = generate_with(&profile, config.calendar, config.weeks, &mut rng, levels);
+        AppWorkload {
+            name: profile.name().to_string(),
+            trace,
+        }
+    })
 }
 
 /// Deterministic per-application profile parameters.
@@ -196,6 +214,69 @@ mod tests {
         assert!(
             bursty[0] > 2.0 || bursty[1] > 2.0,
             "extreme apps should spike: {bursty:?}"
+        );
+    }
+
+    /// The fleet is the same bits on 1, 2 and 5 workers, including fleets
+    /// smaller than the worker count.
+    #[test]
+    fn fleet_is_independent_of_worker_count() {
+        for apps in [1, 3, 26] {
+            let config = FleetConfig {
+                seed: 7,
+                apps,
+                weeks: 1,
+                ..FleetConfig::paper()
+            };
+            let serial = fleet_on(&config, 1);
+            assert_eq!(serial.len(), apps);
+            for threads in [2, 5] {
+                assert_eq!(
+                    fleet_digest(&fleet_on(&config, threads)),
+                    fleet_digest(&serial),
+                    "{apps} apps on {threads} workers"
+                );
+            }
+        }
+    }
+
+    /// 64-bit FNV-1a over every app's name and the bits of every sample.
+    fn fleet_digest(fleet: &[AppWorkload]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for app in fleet {
+            feed(app.name.as_bytes());
+            for v in app.trace.iter() {
+                feed(&v.to_bits().to_le_bytes());
+            }
+        }
+        hash
+    }
+
+    /// Digests captured before the generator became template-driven and
+    /// parallel: every sample of both fleets must keep its bits.
+    #[test]
+    fn fleets_match_golden_digests() {
+        assert_eq!(
+            fleet_digest(&case_study_fleet(&FleetConfig::paper())),
+            0x8b98_31d2_f500_fd28,
+            "paper fleet"
+        );
+        let wide = FleetConfig {
+            seed: 1,
+            apps: 200,
+            weeks: 1,
+            ..FleetConfig::paper()
+        };
+        assert_eq!(
+            fleet_digest(&case_study_fleet(&wide)),
+            0xdff6_22d2_f199_9e58,
+            "200-app fleet"
         );
     }
 

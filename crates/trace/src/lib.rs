@@ -22,6 +22,8 @@
 //!   bit-reproducible across platforms;
 //! * [`runs`] — run-length analysis used by the time-limited-degradation
 //!   (`T_degr`) translation;
+//! * [`parallel`] — the order-preserving scoped-thread fan-out every
+//!   layer maps independent work through;
 //! * [`gen`] — the synthetic enterprise workload generator and the 26-app
 //!   case-study fleet standing in for the paper's proprietary HP traces.
 //!
@@ -58,6 +60,7 @@ mod trace;
 pub mod gen;
 pub mod io;
 pub mod kernels;
+pub mod parallel;
 pub mod rng;
 pub mod runs;
 pub mod stats;

@@ -249,6 +249,8 @@ fn is_det_entry(path: &str, item: &crate::symbols::FnItem) -> bool {
     ) || (path.starts_with("crates/chaos/src/") && item.name.starts_with("replay"))
         || (path.starts_with("crates/qos/src/") && item.name.starts_with("translate"))
         || path.starts_with("crates/trace/src/kernels.rs")
+        || path.starts_with("crates/trace/src/gen/")
+        || path.starts_with("crates/trace/src/parallel.rs")
         || (path.starts_with("crates/placement/src/sumtree.rs") && item.qual.is_some())
 }
 

@@ -71,7 +71,7 @@ pub fn cases() -> Vec<Case> {
     vec![
         case!("det-unordered-collection", LIB_PATH, 3),
         case!("det-wall-clock", LIB_PATH, 3),
-        case!("det-rng-adhoc", "crates/trace/src/gen/fixture.rs", 5),
+        case!("det-rng-adhoc", "crates/trace/src/fixture.rs", 5),
         case!(
             "det-taint", "det-taint", LIB_PATH, 17,
             strict: true, graph: true, extra: &[]

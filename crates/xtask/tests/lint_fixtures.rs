@@ -13,7 +13,7 @@ use xtask::fixtures::{cases, lint_fixture, self_check};
 use xtask::lex;
 use xtask::report::{error_count, render_json, render_text};
 use xtask::rules::{registry, Severity};
-use xtask::{lint_source, lint_workspace};
+use xtask::{lint_files, lint_source, lint_workspace, SourceFile};
 
 const LIB_PATH: &str = "crates/core/src/fixture.rs";
 
@@ -165,6 +165,25 @@ fn rng_facade_is_exempt_from_the_rng_rule() {
         diagnostics.iter().all(|d| d.rule != "det-rng-adhoc"),
         "the facade itself must be allowed to hold generator constants"
     );
+}
+
+#[test]
+fn fleet_generator_and_fan_out_are_deterministic_entry_points() {
+    // Outside the entry points, a thread-identity branch is no finding.
+    let source =
+        "pub fn lane() -> usize {\n    format!(\"{:?}\", std::thread::current().id()).len()\n}\n";
+    let taint = |path: &str| {
+        let file = SourceFile {
+            path: path.into(),
+            source: source.into(),
+        };
+        lint_files(&[file], &Config::default())
+            .iter()
+            .any(|d| d.rule == "det-taint")
+    };
+    assert!(!taint("crates/trace/src/io.rs"));
+    assert!(taint("crates/trace/src/gen/fleet.rs"));
+    assert!(taint("crates/trace/src/parallel.rs"));
 }
 
 #[test]
