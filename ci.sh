@@ -265,15 +265,6 @@ print(
 )
 PYEOF
 
-echo "==> fleet_10k smoke"
-# One-shot timing of the 10,000-app × 4-week plan (and the 50-app
-# reference pipeline) against a generous wall-clock budget; the
-# machine-readable summary is archived under target/bench/ so the
-# performance trajectory is a CI artifact alongside the lint reports.
-cargo run --release -q -p ropus-bench --bin fleet_smoke
-test -s target/bench/fleet_10k_smoke.json \
-    || { echo "fleet_smoke left no bench summary"; exit 1; }
-
 echo "==> obs_overhead smoke"
 # The SLO engine's cost at fleet scale: a 10k-app week replay with the
 # collector off vs deterministic must stay under the < 3% overhead
@@ -281,9 +272,6 @@ echo "==> obs_overhead smoke"
 cargo run --release -q -p ropus-bench --bin obs_overhead
 test -s target/bench/obs_overhead_10k.json \
     || { echo "obs_overhead left no bench summary"; exit 1; }
-
-echo "==> cargo bench --no-run"
-cargo bench --workspace --no-run
 
 echo "==> cargo doc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

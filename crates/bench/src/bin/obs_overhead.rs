@@ -7,8 +7,7 @@
 //! The acceptance budget is < 3% overhead for the obs-on run. Each side
 //! is timed over several interleaved repeats and the minimum is
 //! compared, so scheduler noise on a loaded runner does not trip the
-//! gate. Tune with `ROPUS_OBS_OVERHEAD_BUDGET_PCT` or disable with
-//! `--no-gate`.
+//! gate.
 //!
 //! Run with: `cargo run --release -p ropus-bench --bin obs_overhead`
 
@@ -26,8 +25,8 @@ const APPS: usize = 10_000;
 const SLOTS: usize = 2016;
 /// Interleaved (off, on) timing pairs; the gate reads the min per side.
 const REPEATS: usize = 5;
-/// Default overhead budget, percent.
-const DEFAULT_BUDGET_PCT: f64 = 3.0;
+/// Overhead budget, percent.
+const BUDGET_PCT: f64 = 3.0;
 /// Histogram bounds for the per-slot degraded-fraction sample.
 const SATURATION_BOUNDS: &[f64] = &[0.001, 0.01, 0.05, 0.1, 0.5];
 
@@ -43,7 +42,6 @@ struct OverheadSummary {
     overhead_pct: f64,
     alerts: usize,
     budget_pct: f64,
-    gated: bool,
 }
 
 /// Registers the 10k-app contract set (paper-shaped: U_high 0.66,
@@ -99,11 +97,6 @@ fn run_week(obs: ObsCtx<'_>) -> usize {
 }
 
 fn main() -> ExitCode {
-    let no_gate = std::env::args().any(|a| a == "--no-gate");
-    let budget_pct = std::env::var("ROPUS_OBS_OVERHEAD_BUDGET_PCT")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_BUDGET_PCT);
     let clock = WallClock::new();
 
     // One untimed pass warms the allocator and fault-in costs so the
@@ -146,8 +139,7 @@ fn main() -> ExitCode {
         obs_on_s: on_s,
         overhead_pct,
         alerts: alerts_on,
-        budget_pct,
-        gated: !no_gate,
+        budget_pct: BUDGET_PCT,
     };
     let json = serde_json::to_string_pretty(&summary).expect("serialize bench summary");
     let dir = Path::new("target/bench");
@@ -156,9 +148,9 @@ fn main() -> ExitCode {
     fs::write(&path, json + "\n").expect("write bench summary");
     println!("obs_overhead: wrote {}", path.display());
 
-    if !no_gate && overhead_pct > budget_pct {
+    if overhead_pct > BUDGET_PCT {
         eprintln!(
-            "obs_overhead: FAIL — obs-on replay cost {overhead_pct:+.2}% (> {budget_pct:.1}% budget)"
+            "obs_overhead: FAIL — obs-on replay cost {overhead_pct:+.2}% (> {BUDGET_PCT:.1}% budget)"
         );
         return ExitCode::FAILURE;
     }

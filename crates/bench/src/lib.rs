@@ -4,7 +4,10 @@
 //! (see DESIGN.md's experiment index); this library holds the fleet
 //! loader, the common output helpers, and the result-file writer they all
 //! share so that EXPERIMENTS.md can be assembled from machine-readable
-//! artifacts under `results/`.
+//! artifacts under `results/`. Performance is measured by the standalone
+//! `perfbench/` benchmark, end to end and layer by layer; the only timing
+//! binary here is `obs_overhead`, which gates the SLO engine's collector
+//! cost.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -17,21 +20,6 @@ use ropus_trace::gen::{case_study_fleet, AppWorkload, FleetConfig};
 /// The full-scale case-study fleet (26 apps, 4 weeks, 5-minute slots).
 pub fn paper_fleet() -> Vec<AppWorkload> {
     case_study_fleet(&FleetConfig::paper())
-}
-
-/// A fleet-scale variant at roughly 2x the paper's case study (50 apps,
-/// 4 weeks, 5-minute slots) used by the end-to-end `fleet` benchmark.
-pub fn fleet_50() -> Vec<AppWorkload> {
-    fleet_n(50)
-}
-
-/// An `apps`-sized fleet on the paper's calendar (4 weeks, 5-minute
-/// slots), used by the `fleet_10k` scale benchmark and its CI smoke bin.
-pub fn fleet_n(apps: usize) -> Vec<AppWorkload> {
-    case_study_fleet(&FleetConfig {
-        apps,
-        ..FleetConfig::paper()
-    })
 }
 
 /// Resolves the repository `results/` directory (created on demand):

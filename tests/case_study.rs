@@ -134,3 +134,32 @@ fn case_results_are_deterministic() {
     let b = run(&CaseConfig::table1()[1], 9);
     assert_eq!(a, b);
 }
+
+#[test]
+fn framework_and_case_study_translators_agree() {
+    // `Framework::translate_fleet` (the planner's path) and the threaded
+    // case-study translator must produce the same placement workloads and
+    // reports, bit for bit, under every Table I case.
+    let fleet = fleet();
+    for case in &CaseConfig::table1() {
+        let framework = Framework::builder()
+            .server(ServerSpec::sixteen_way())
+            .commitments(case.commitments())
+            .build();
+        let policy = QosPolicy::uniform(case.app_qos());
+        let specs: Vec<AppSpec> = fleet
+            .iter()
+            .map(|app| AppSpec::new(app.name.clone(), app.trace.clone(), policy))
+            .collect();
+        let (plans, normal, failure) = framework.translate_fleet(&specs).unwrap();
+        let threaded = case_study::translate_fleet_threaded(&fleet, case, 2).unwrap();
+        assert_eq!(threaded.len(), fleet.len());
+        for (((plan, n), f), t) in plans.iter().zip(&normal).zip(&failure).zip(&threaded) {
+            let json = serde_json::to_string(&t.workload).unwrap();
+            assert_eq!(serde_json::to_string(n).unwrap(), json, "case {}", case.id);
+            assert_eq!(serde_json::to_string(f).unwrap(), json, "case {}", case.id);
+            assert_eq!(plan.name, t.name);
+            assert_eq!(plan.normal, t.report, "case {}: app {}", case.id, t.name);
+        }
+    }
+}
