@@ -3,8 +3,9 @@
 //! [`replay`] walks a fleet's demand traces slot by slot over a
 //! [`FailureSchedule`], re-placing displaced applications onto the
 //! surviving servers at every change of the failed-server set and
-//! emulating each server's two-priority scheduler (CoS1 granted first,
-//! CoS2 shares the remainder proportionally). Unserved demand is either
+//! driving the pool's two-priority [`SlotScheduler`] (CoS1 granted first,
+//! CoS2 shares the remainder proportionally) over the migration
+//! machine's serving and reservation views. Unserved demand is either
 //! shed immediately or carried over as deferred CoS2 work with a
 //! deadline, per the [`DegradationPolicy`].
 //!
@@ -17,8 +18,6 @@
 //! shared fit memo, and results are bit-identical across `--threads`
 //! settings. The slot loop itself is serial.
 
-use std::collections::VecDeque;
-
 use ropus_obs::{BurnRateRule, ObsCtx, SloEngine};
 use ropus_placement::consolidate::{Consolidator, PlacementReport};
 use ropus_placement::failure::{mixed_fleet, FailureScope};
@@ -27,16 +26,13 @@ use ropus_placement::server::Pool;
 use ropus_placement::workload::Workload;
 use ropus_qos::AppQos;
 use ropus_trace::{Trace, TraceError};
-use ropus_wlm::manager::{WlmPolicy, WorkloadManager};
-use ropus_wlm::metrics::{audit, slo_contract, utilization_of_allocation};
-use ropus_wlm::WlmError;
+use ropus_wlm::host::{SlotScheduler, SERVED_EPSILON};
+use ropus_wlm::manager::WlmPolicy;
+use ropus_wlm::metrics::{audit, slo_contract};
 
 use crate::error::ChaosError;
 use crate::report::{AppChaosOutcome, ChaosReport, DegradedWindow};
 use crate::schedule::FailureSchedule;
-
-/// Amounts below this are treated as fully served/drained.
-const EPSILON: f64 = 1e-9;
 
 /// Everything the replay needs to know about one application.
 #[derive(Debug, Clone)]
@@ -193,11 +189,17 @@ pub fn replay(
     if n == 0 {
         return Err(ChaosError::NoApplications);
     }
-    let capacity = consolidator.server().capacity();
-    if !capacity.is_finite() || capacity <= 0.0 {
-        return Err(ChaosError::Wlm(WlmError::InvalidCapacity { capacity }));
-    }
     let calendar = apps[0].demand.calendar();
+    let deadline_slots = match options.degradation.deadline_slots {
+        Some(s) => s,
+        None => calendar.slots_in_minutes(consolidator.commitments().cos2.deadline_minutes()),
+    };
+    let carry_over = options.degradation.carry_over && deadline_slots > 0;
+    let mut scheduler = SlotScheduler::new(
+        consolidator.server().capacity(),
+        n,
+        if carry_over { deadline_slots } else { 0 },
+    )?;
     let horizon = apps[0].demand.len();
     for app in apps {
         if app.demand.calendar() != calendar || app.demand.len() != horizon {
@@ -222,11 +224,6 @@ pub fn replay(
             });
         }
     }
-    let deadline_slots = match options.degradation.deadline_slots {
-        Some(s) => s,
-        None => calendar.slots_in_minutes(consolidator.commitments().cos2.deadline_minutes()),
-    };
-    let carry_over = options.degradation.carry_over && deadline_slots > 0;
 
     let segments = schedule.segments(horizon);
     let plans = {
@@ -260,17 +257,16 @@ pub fn replay(
             .position(|&(lo, hi)| lo <= k && k <= hi)
     };
 
-    let id_cap = pool_ids.iter().max().map_or(0, |m| m + 1);
     let samples: Vec<&[f64]> = apps.iter().map(|a| a.demand.samples()).collect();
 
-    // Per-app running state.
-    let mut backlog: Vec<VecDeque<(usize, f64)>> = vec![VecDeque::new(); n];
+    // Per-app running totals.
     let mut util_normal: Vec<Vec<f64>> = vec![Vec::new(); n];
     let mut util_degraded: Vec<Vec<f64>> = vec![Vec::new(); n];
     let mut demand_total = vec![0.0f64; n];
     let mut served_on_time = vec![0.0f64; n];
     let mut served_late = vec![0.0f64; n];
     let mut shed = vec![0.0f64; n];
+    let mut backlog_remaining = vec![0.0f64; n];
     let mut migrations_per_app = vec![0usize; n];
     // Fleet-wide series and counters.
     let mut backlog_series: Vec<f64> = Vec::with_capacity(horizon);
@@ -279,10 +275,10 @@ pub fn replay(
     let mut contended_slots = 0usize;
     let mut migrations_total = 0usize;
 
-    // The migration machine owns the serving assignment `eff`: each
-    // segment's plan becomes its target, and apps move only as it
-    // commits cutovers. Without a configured model the moves are free
-    // and the machine is neither observed nor reported.
+    // The migration machine owns the serving assignment: each segment's
+    // plan becomes its target, and apps move only as it commits
+    // cutovers. Without a configured model the moves are free and the
+    // machine is neither observed nor reported.
     let (config, machine_obs) = match options.migration {
         Some(config) => (config, obs),
         None => (MigrationConfig::teleport(), ObsCtx::none()),
@@ -293,12 +289,10 @@ pub fn replay(
         .map(|&s| Some(s))
         .collect();
     let mut orch = MigrationOrchestrator::new(config, initial);
-    let mut eff: Vec<Option<usize>> = Vec::with_capacity(n);
-    let mut hosted: Vec<Vec<usize>> = vec![Vec::new(); id_cap];
-    let mut reserved: Vec<Vec<usize>> = vec![Vec::new(); id_cap];
-    let mut contended_flags = vec![false; id_cap];
     let mut healthy = vec![true; n];
     let mut band_high = vec![0.0f64; n];
+    let mut policies: Vec<WlmPolicy> = Vec::with_capacity(n);
+    let mut demand = vec![0.0f64; n];
 
     // Streaming SLO attainment against the *normal* contract for the
     // whole replay: planned degradation during an outage still spends
@@ -312,20 +306,6 @@ pub fn replay(
             calendar.slot_minutes(),
         ));
     }
-
-    // Scratch buffers reused across slots.
-    let mut demand = vec![0.0f64; n];
-    let mut requests = vec![(0.0f64, 0.0f64); n];
-    let mut extra = vec![0.0f64; n];
-    let mut grant_base = vec![0.0f64; n];
-    let mut grant_extra = vec![0.0f64; n];
-    // Per-app request columns for the current segment, replayed
-    // workload-major before the slot loop (managers restart at segment
-    // boundaries and only ever see their own demand, so running each
-    // column to completion is bit-identical to the old interleaved
-    // per-slot observe).
-    let mut req_cos1: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut req_cos2: Vec<Vec<f64>> = vec![Vec::new(); n];
 
     let slots_span = obs.span("chaos.replay.slots");
     for (k, seg) in segments.iter().enumerate() {
@@ -348,38 +328,26 @@ pub fn replay(
             attributed,
             machine_obs,
         );
-        for (i, app) in apps.iter().enumerate() {
-            band_high[i] = if plan.use_failure[i] {
-                app.failure_qos.band().high()
+        // Each app runs under its active mode's policy and band.
+        policies.clear();
+        for (app, (&failure, high)) in apps
+            .iter()
+            .zip(plan.use_failure.iter().zip(band_high.iter_mut()))
+        {
+            let (policy, qos) = if failure {
+                (app.failure_policy, &app.failure_qos)
             } else {
-                app.normal_qos.band().high()
+                (app.normal_policy, &app.normal_qos)
             };
-        }
-
-        // Managers restart at the segment boundary under the active
-        // policy; with smoothing 1.0 the estimate equals current demand,
-        // so the reset is seamless. Each manager replays its whole
-        // segment column up front, so the slot loop reads precomputed
-        // request columns instead of stepping n managers per slot.
-        for (i, series) in samples.iter().enumerate() {
-            let mut manager = WorkloadManager::new(if plan.use_failure[i] {
-                apps[i].failure_policy
-            } else {
-                apps[i].normal_policy
-            });
-            req_cos1[i].clear();
-            req_cos2[i].clear();
-            for &d in &series[seg.start..seg.end] {
-                let request = manager.observe(d);
-                req_cos1[i].push(request.cos1);
-                req_cos2[i].push(request.cos2);
-            }
+            policies.push(policy);
+            *high = qos.band().high();
         }
 
         for slot in seg.start..seg.end {
             // Migration machine, slot start: begin eligible moves under
-            // the storm caps, then refresh the serving/reservation views
-            // if anything changed (including the segment's retarget).
+            // the storm caps, then hand the scheduler the serving and
+            // reservation views if anything changed (including the
+            // segment's retarget).
             let transitions = orch.begin_slot(slot, machine_obs);
             count_commits(
                 &transitions,
@@ -388,137 +356,46 @@ pub fn replay(
                 &mut window_migrations,
             );
             if orch.take_dirty() {
-                rebuild_views(
-                    orch.serving(),
-                    &orch.reservations(),
-                    &mut eff,
-                    &mut hosted,
-                    &mut reserved,
-                );
+                scheduler.set_views(orch.serving(), &orch.reservations());
             }
-            // Pass 1: read each app's precomputed request for this slot;
-            // outstanding backlog rides along as extra CoS2.
-            let off = slot - seg.start;
-            for (i, series) in samples.iter().enumerate() {
-                demand[i] = series[slot];
-                requests[i] = (req_cos1[i][off], req_cos2[i][off]);
-                extra[i] = backlog[i].iter().map(|e| e.1).sum();
+            for (d, series) in demand.iter_mut().zip(&samples) {
+                *d = series[slot];
             }
-            // Pass 2: each server grants CoS1 first (scaled down
-            // proportionally on overflow), then CoS2 shares the
-            // remainder proportionally. Migrating apps' reserved demand
-            // presses on the destination's scales (capacity
-            // double-booked mid-move) without drawing grants there.
-            let mut contended = false;
-            contended_flags.fill(false);
-            for (s, ids) in hosted.iter().enumerate() {
-                // lint:allow(panic-slice-index): reserved has id_cap
-                // entries, like hosted.
-                let resv = &reserved[s];
-                if ids.is_empty() && resv.is_empty() {
-                    continue;
-                }
-                let mut cos1_sum: f64 = ids.iter().map(|&i| requests[i].0).sum();
-                let mut cos2_sum: f64 = ids.iter().map(|&i| requests[i].1 + extra[i]).sum();
-                if !resv.is_empty() {
-                    cos1_sum += resv.iter().map(|&i| requests[i].0).sum::<f64>();
-                    cos2_sum += resv.iter().map(|&i| requests[i].1).sum::<f64>();
-                }
-                let cos1_scale = if cos1_sum > capacity {
-                    capacity / cos1_sum
-                } else {
-                    1.0
-                };
-                let remaining = (capacity - cos1_sum * cos1_scale).max(0.0);
-                let cos2_scale = if cos2_sum > remaining && cos2_sum > 0.0 {
-                    remaining / cos2_sum
-                } else {
-                    1.0
-                };
-                if cos1_scale < 1.0 || cos2_scale < 1.0 {
-                    contended = true;
-                    contended_flags[s] = true;
-                }
-                for &i in ids {
-                    grant_base[i] = requests[i].0 * cos1_scale + requests[i].1 * cos2_scale;
-                    grant_extra[i] = extra[i] * cos2_scale;
-                }
-            }
-            if contended {
+            // Migrating apps' reserved demand presses on the
+            // destination's scales (capacity double-booked mid-move)
+            // without drawing grants there.
+            scheduler.step(slot, &demand, &policies)?;
+            if scheduler.contended().contains(&true) {
                 contended_slots += 1;
                 obs.counter("chaos.replay.contended_slots", 1);
             }
-            // Pass 3: serve current demand first, drain backlog FIFO with
-            // whatever grant is left, then defer or shed the shortfall.
             let mut slot_backlog = 0.0f64;
             let mut slot_shed = 0.0f64;
             let mut slot_carried = false;
-            for i in 0..n {
-                let recovering = !backlog[i].is_empty();
-                let (g_base, g_extra) = if eff[i].is_some() {
-                    (grant_base[i], grant_extra[i])
-                } else {
-                    (0.0, 0.0)
-                };
-                let g_total = g_base + g_extra;
-                let d = demand[i];
-                let serve_now = d.min(g_total);
-                let mut leftover = (g_total - serve_now).max(0.0);
-                let mut late = 0.0f64;
-                while leftover > EPSILON {
-                    let Some(front) = backlog[i].front_mut() else {
-                        break;
-                    };
-                    let take = front.1.min(leftover);
-                    front.1 -= take;
-                    late += take;
-                    leftover -= take;
-                    if front.1 <= EPSILON {
-                        backlog[i].pop_front();
-                    }
-                }
+            for (i, (out, &d)) in scheduler.apps().iter().zip(&demand).enumerate() {
                 demand_total[i] += d;
-                served_on_time[i] += serve_now;
-                served_late[i] += late;
-                let shortfall = d - serve_now;
-                if shortfall > EPSILON {
-                    if carry_over {
-                        backlog[i].push_back((slot, shortfall));
-                        slot_carried = true;
-                    } else {
-                        shed[i] += shortfall;
-                        slot_shed += shortfall;
-                    }
-                }
-                // Expire deferred work past its deadline. Entries are in
-                // arrival order, so the front is always the oldest.
-                while let Some(&(arrival, amount)) = backlog[i].front() {
-                    if slot >= arrival + deadline_slots {
-                        shed[i] += amount;
-                        slot_shed += amount;
-                        backlog[i].pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                slot_backlog += backlog[i].iter().map(|e| e.1).sum::<f64>();
-                // Utilization of (own) allocation for current demand —
-                // backlog drain uses headroom and is not charged against
-                // the band.
-                let u = utilization_of_allocation(serve_now, g_base);
-                if plan.degraded || recovering {
-                    util_degraded[i].push(u);
+                served_on_time[i] += out.served;
+                served_late[i] += out.late;
+                shed[i] += out.shed;
+                slot_shed += out.shed;
+                slot_carried |= out.deferred;
+                slot_backlog += out.backlog;
+                backlog_remaining[i] = out.backlog;
+                if plan.degraded || out.recovering {
+                    util_degraded[i].push(out.utilization);
                 } else {
-                    util_normal[i].push(u);
+                    util_normal[i].push(out.utilization);
                 }
-                slo.observe(i, slot, u, obs);
+                slo.observe(i, slot, out.utilization, obs);
                 // Health verdict for the migration machine: the slot is
                 // healthy when current demand was fully served within
                 // the app's utilization band.
-                healthy[i] = shortfall <= EPSILON && u <= band_high[i] + EPSILON;
+                healthy[i] = d - out.served <= SERVED_EPSILON
+                    && out.utilization <= band_high[i] + SERVED_EPSILON;
             }
             // Migration machine, slot end: apply drain/health progress.
-            let transitions = orch.complete_slot(slot, &contended_flags, &healthy, machine_obs);
+            let transitions =
+                orch.complete_slot(slot, scheduler.contended(), &healthy, machine_obs);
             count_commits(
                 &transitions,
                 &mut migrations_per_app,
@@ -526,7 +403,7 @@ pub fn replay(
                 &mut window_migrations,
             );
             backlog_series.push(slot_backlog);
-            if slot_shed > EPSILON {
+            if slot_shed > SERVED_EPSILON {
                 obs.counter("chaos.replay.shed_slots", 1);
             }
             if slot_carried {
@@ -560,7 +437,7 @@ pub fn replay(
         displaced.dedup();
         let mut recovery_slots = None;
         for (t, &outstanding) in backlog_series.iter().enumerate().skip(end - 1) {
-            if outstanding <= EPSILON {
+            if outstanding <= SERVED_EPSILON {
                 recovery_slots = Some((t + 1).saturating_sub(end));
                 break;
             }
@@ -604,7 +481,6 @@ pub fn replay(
             let trace = Trace::from_samples(calendar, std::mem::take(&mut util_degraded[i]))?;
             Some(audit(&trace, &app.failure_qos))
         };
-        let backlog_remaining: f64 = backlog[i].iter().map(|e| e.1).sum();
         let served = served_on_time[i] + served_late[i];
         let unserved_fraction = if demand_total[i] > 0.0 {
             ((demand_total[i] - served) / demand_total[i]).max(0.0)
@@ -618,7 +494,7 @@ pub fn replay(
             served_on_time: served_on_time[i],
             served_late: served_late[i],
             shed: shed[i],
-            backlog_remaining,
+            backlog_remaining: backlog_remaining[i],
             unserved_fraction,
             migrations: migrations_per_app[i],
             normal_audit,
@@ -680,35 +556,6 @@ fn count_commits(
             if let Some(count) = window_migrations.get_mut(w) {
                 *count += 1;
             }
-        }
-    }
-}
-
-/// Rebuilds the slot loop's serving and reservation views from the
-/// migration machine's authoritative state.
-fn rebuild_views(
-    serving: &[Option<usize>],
-    reservations: &[(usize, usize)],
-    eff: &mut Vec<Option<usize>>,
-    hosted: &mut [Vec<usize>],
-    reserved: &mut [Vec<usize>],
-) {
-    eff.clear();
-    eff.extend_from_slice(serving);
-    for list in hosted.iter_mut() {
-        list.clear();
-    }
-    for (i, &s) in serving.iter().enumerate() {
-        if let Some(list) = s.and_then(|s| hosted.get_mut(s)) {
-            list.push(i);
-        }
-    }
-    for list in reserved.iter_mut() {
-        list.clear();
-    }
-    for &(app, server) in reservations {
-        if let Some(list) = reserved.get_mut(server) {
-            list.push(app);
         }
     }
 }

@@ -173,17 +173,4 @@ impl ChaosReport {
             0.0
         }
     }
-
-    /// The longest time-to-recover across windows, in slots (`None` when
-    /// some window never recovered).
-    pub fn worst_recovery_slots(&self) -> Option<usize> {
-        let mut worst = 0usize;
-        for w in &self.windows {
-            match w.recovery_slots {
-                Some(r) => worst = worst.max(r),
-                None => return None,
-            }
-        }
-        Some(worst)
-    }
 }

@@ -127,9 +127,26 @@ impl CapacityPlan {
 /// Every [`Framework`] entry point takes `impl Into<PlanRequest>`, so
 /// plain fleets still read naturally at the call site:
 ///
-/// ```ignore
+/// ```
+/// # use ropus::prelude::*;
+/// # fn main() -> Result<(), FrameworkError> {
+/// # let framework = Framework::builder()
+/// #     .options(ConsolidationOptions::fast(1))
+/// #     .build();
+/// # let policy = QosPolicy::uniform(AppQos::paper_default(None));
+/// # let apps: Vec<AppSpec> = case_study_fleet(&FleetConfig {
+/// #     apps: 3,
+/// #     weeks: 1,
+/// #     ..FleetConfig::paper()
+/// # })
+/// # .into_iter()
+/// # .map(|a| AppSpec::new(a.name, a.trace, policy))
+/// # .collect();
+/// # let obs = Obs::deterministic();
 /// framework.plan(&apps)?;                                  // bare fleet
 /// framework.plan(PlanRequest::of(&apps).with_obs(&obs))?;  // instrumented
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct PlanRequest<'a> {
@@ -150,12 +167,6 @@ impl<'a> PlanRequest<'a> {
     /// `pipeline.*` spans and per-layer counters/events ride along.
     pub fn with_obs(mut self, obs: &'a Obs) -> Self {
         self.obs = ObsCtx::from(obs);
-        self
-    }
-
-    /// Attaches an already-built observability context.
-    pub fn with_obs_ctx(mut self, obs: ObsCtx<'a>) -> Self {
-        self.obs = obs;
         self
     }
 

@@ -20,12 +20,13 @@ use ropus_obs::{BurnRateRule, ObsCtx, SloEngine, SloSummary};
 use serde::{Deserialize, Serialize};
 
 use ropus_placement::migration::{MigrationConfig, MigrationOrchestrator, MigrationReport};
-use ropus_trace::Trace;
-use ropus_wlm::host::{Host, HostedWorkload};
+use ropus_trace::{Trace, TraceError};
+use ropus_wlm::host::SlotScheduler;
 use ropus_wlm::manager::WlmPolicy;
 use ropus_wlm::metrics::{audit, slo_contract};
+use ropus_wlm::WlmError;
 
-use crate::framework::{AppPlan, AppSpec, Framework};
+use crate::framework::{AppSpec, Framework};
 use crate::FrameworkError;
 
 /// Outcome of one lifecycle epoch.
@@ -118,17 +119,18 @@ impl Framework {
     /// Every epoch's adjustment walks the migration state machine over
     /// the unseen week: moves start under the storm caps, the source
     /// serves until cutover, and the destination is double-booked while
-    /// a move is in flight. Who serves where, and which servers hold
-    /// reservations, is read slot by slot from the machine's
+    /// a move is in flight. Slot by slot, the two-priority
+    /// [`SlotScheduler`] serves the week's demand over the machine's
     /// `serving()`/`reservations()` views, as in the chaos replay, and
-    /// the out-of-sample replay runs each host over those residency
-    /// windows with the reservations pressing on its scales.
+    /// sheds what it cannot serve. The machine runs feedback-free (no
+    /// destination is ever contended or unhealthy), so the storm caps,
+    /// drain/transfer costs and backoffs alone pace the wave.
     /// `migrations` counts *committed* moves, and `rolled_back`/`failed`
     /// surface the machine's failures.
     ///
     /// Under the zero-cost [`MigrationConfig::teleport`] (what
     /// `run_lifecycle` uses) every move commits at the start of the
-    /// week, so each host replays the new placement's members for the
+    /// week, so each server runs the new placement's members for the
     /// whole week with no reservations, and `migrations` is the number
     /// of workloads that changed servers.
     ///
@@ -145,12 +147,10 @@ impl Framework {
         let first = apps.first().ok_or(FrameworkError::NoApplications)?;
         let weeks = first.demand().weeks();
         if weeks < window_weeks + 1 {
-            return Err(FrameworkError::Trace(
-                ropus_trace::TraceError::PartialWeek {
-                    len: first.demand().len(),
-                    per_week: (window_weeks + 1) * first.demand().calendar().slots_per_week(),
-                },
-            ));
+            return Err(FrameworkError::Trace(TraceError::PartialWeek {
+                len: first.demand().len(),
+                per_week: (window_weeks + 1) * first.demand().calendar().slots_per_week(),
+            }));
         }
 
         let mut epochs = Vec::new();
@@ -168,21 +168,26 @@ impl Framework {
             ));
         }
 
+        let slots_per_week = calendar.slots_per_week();
+        let weeks_of = |app: &AppSpec, from: usize, to: usize| {
+            app.demand()
+                .weeks_range(from, to)
+                .ok_or(FrameworkError::Trace(TraceError::PartialWeek {
+                    len: app.demand().len(),
+                    per_week: slots_per_week,
+                }))
+        };
+        let names: Vec<&str> = apps.iter().map(AppSpec::name).collect();
+
         for week in window_weeks..weeks {
             // Plan on the trailing window.
-            let history: Result<Vec<AppSpec>, FrameworkError> = apps
+            let history = apps
                 .iter()
                 .map(|app| {
-                    let demand = app.demand().weeks_range(week - window_weeks, week).ok_or(
-                        FrameworkError::Trace(ropus_trace::TraceError::PartialWeek {
-                            len: app.demand().len(),
-                            per_week: app.demand().calendar().slots_per_week(),
-                        }),
-                    )?;
+                    let demand = weeks_of(app, week - window_weeks, week)?;
                     Ok(AppSpec::new(app.name(), demand, app.policy()))
                 })
-                .collect();
-            let history = history?;
+                .collect::<Result<Vec<AppSpec>, FrameworkError>>()?;
             let (plans, workloads, _) = self.translate_fleet(&history)?;
             let consolidator = ropus_placement::consolidate::Consolidator::new(
                 self.server(),
@@ -190,36 +195,36 @@ impl Framework {
                 self.options(),
             );
             let placement = consolidator.consolidate(&workloads, ObsCtx::none())?;
-            let slots_per_week = first.demand().calendar().slots_per_week();
 
-            // Walk the epoch's adjustment through the migration machine
-            // (the first epoch has no baseline: nothing moves), then
-            // replay the unseen week over the residency it produced.
+            // Replay the unseen week while the migration machine walks
+            // the epoch's adjustment (the first epoch has no baseline:
+            // nothing moves).
+            let unseen = apps
+                .iter()
+                .map(|app| weeks_of(app, week, week + 1))
+                .collect::<Result<Vec<Trace>, FrameworkError>>()?;
+            let demand: Vec<&[f64]> = unseen.iter().map(Trace::samples).collect();
+            let policies: Vec<WlmPolicy> = apps
+                .iter()
+                .zip(&plans)
+                .map(|(app, plan)| WlmPolicy::from_translation(&app.policy().normal, &plan.normal))
+                .collect();
             let prev = previous_assignment
                 .as_deref()
                 .unwrap_or(&placement.assignment);
-            let names: Vec<&str> = apps.iter().map(AppSpec::name).collect();
-            let (report, residency) = walk_epoch_moves(
+            let (report, util) = replay_epoch(
+                self.server().capacity(),
                 prev,
                 &placement.assignment,
                 migration,
-                slots_per_week,
+                &demand,
+                &policies,
                 &names,
-            );
-            let util =
-                self.replay_week_with_moves(apps, &plans, &residency, week, slots_per_week)?;
+            )?;
 
-            // Audit each stitched row against the normal contract and
-            // stream it through the SLO engine slot-major, so the alert
-            // log interleaves apps in global slot order.
-            let mut violations = 0usize;
-            for (row, app) in util.iter().zip(apps) {
-                let stitched =
-                    Trace::from_samples(calendar, row.clone()).map_err(FrameworkError::Trace)?;
-                if !audit(&stitched, &app.policy().normal).is_compliant() {
-                    violations += 1;
-                }
-            }
+            // Stream each app's row through the SLO engine slot-major, so
+            // the alert log interleaves apps in global slot order, then
+            // audit it against the normal contract.
             let base = week * slots_per_week;
             for t in 0..slots_per_week {
                 for (i, row) in util.iter().enumerate() {
@@ -229,6 +234,13 @@ impl Framework {
                 }
             }
             let slo_alerts = slo.drain_alerts().len();
+            let mut violations = 0usize;
+            for (row, app) in util.into_iter().zip(apps) {
+                let row = Trace::from_samples(calendar, row).map_err(FrameworkError::Trace)?;
+                if !audit(&row, &app.policy().normal).is_compliant() {
+                    violations += 1;
+                }
+            }
 
             previous_assignment = Some(placement.assignment.clone());
             epochs.push(EpochOutcome {
@@ -249,150 +261,55 @@ impl Framework {
             slo: Some(slo.summary()),
         })
     }
-
-    /// Replays the unseen week on every host that served someone, each
-    /// member active over its residency window and each reservation
-    /// pressing on the host's scales over its own. Returns every
-    /// application's stitched utilization-of-allocation row for the
-    /// week, in fleet order.
-    fn replay_week_with_moves(
-        &self,
-        apps: &[AppSpec],
-        plans: &[AppPlan],
-        residency: &EpochResidency,
-        week: usize,
-        slots_per_week: usize,
-    ) -> Result<Vec<Vec<f64>>, FrameworkError> {
-        let mut util: Vec<Vec<f64>> = vec![vec![0.0; slots_per_week]; apps.len()];
-        for (members, reserved) in residency.members.iter().zip(&residency.reservations) {
-            if members.is_empty() {
-                continue;
-            }
-            let build = |&(app, start, end): &Window| {
-                // lint:allow(panic-slice-index): windows come from the
-                // placements of these same apps.
-                let (a, plan) = (&apps[app], &plans[app]);
-                let demand = a
-                    .demand()
-                    .weeks_range(week, week + 1)
-                    // lint:allow(panic-expect): `week` iterates
-                    // `window_weeks..weeks`, inside the trace.
-                    .expect("week bounds checked by run_lifecycle_with");
-                let policy = WlmPolicy::from_translation(&a.policy().normal, &plan.normal);
-                HostedWorkload::new(a.name(), demand, policy).with_window(start, end)
-            };
-            let hosted: Vec<HostedWorkload> = members.iter().map(build).collect();
-            let reserved: Vec<HostedWorkload> = reserved.iter().map(build).collect();
-            let host = Host::new(self.server().capacity())?;
-            let outcome = host.run_with_reservations(&hosted, &reserved, ObsCtx::none())?;
-            // Stitch: each member window's utilization belongs to its
-            // app for exactly those slots.
-            for (wo, &(app, start, end)) in outcome.workloads.iter().zip(members) {
-                // lint:allow(panic-slice-index): windows end at
-                // `slots_per_week`, the length of both buffers.
-                util[app][start..end].copy_from_slice(&wo.utilization.samples()[start..end]);
-            }
-        }
-        Ok(util)
-    }
 }
 
-/// A residency or reservation window: `(app, start, end)`, a half-open
-/// slot range.
-type Window = (usize, usize, usize);
-
-/// Where the applications served, and where in-flight moves held
-/// reservations, over one epoch's week: per server, windows ordered by
-/// (app, start).
-#[derive(Debug, Clone, PartialEq)]
-struct EpochResidency {
-    members: Vec<Vec<Window>>,
-    reservations: Vec<Vec<Window>>,
-}
-
-/// Walks one epoch's adjustment from `prev` to `next` through the
-/// migration machine over an idealized week (no contention, every
-/// destination healthy). The storm caps, drain/transfer costs and
-/// backoffs still pace the wave. Residency is read from the machine's
-/// views exactly as the chaos slot loop reads them: after each
-/// `begin_slot` that leaves the machine dirty, every app serves on its
-/// `serving()` server and every in-flight move books its
-/// `reservations()` server until the views next change. Windows still
-/// open at the week's end close there.
-fn walk_epoch_moves(
+/// Replays one epoch's unseen week while the migration machine walks
+/// the adjustment from `prev` to `next` over an idealized week (no
+/// contention, every destination healthy; the storm caps,
+/// drain/transfer costs and backoffs still pace the wave). Every slot
+/// the scheduler serves `demand` over the machine's current serving and
+/// reservation views, shedding what it cannot serve. Returns the
+/// machine's report and every application's utilization-of-allocation
+/// row for the week, in fleet order.
+fn replay_epoch(
+    capacity: f64,
     prev: &[usize],
     next: &[usize],
     config: MigrationConfig,
-    slots: usize,
+    demand: &[&[f64]],
+    policies: &[WlmPolicy],
     names: &[&str],
-) -> (MigrationReport, EpochResidency) {
-    let servers = prev.iter().chain(next).max().map_or(0, |m| m + 1);
-    let mut residency = EpochResidency {
-        members: vec![Vec::new(); servers],
-        reservations: vec![Vec::new(); servers],
-    };
+) -> Result<(MigrationReport, Vec<Vec<f64>>), WlmError> {
+    let slots = demand.first().map_or(0, |d| d.len());
+    let mut scheduler = SlotScheduler::new(capacity, policies.len(), 0)?;
     let mut orch = MigrationOrchestrator::new(config, prev.iter().map(|&s| Some(s)).collect());
     let target: Vec<Option<usize>> = next.iter().map(|&s| Some(s)).collect();
     orch.retarget(&target, &[], 0, None, ObsCtx::none());
-    // Each app's open member and reservation window: (server, start).
-    let mut serving: Vec<Option<(usize, usize)>> = vec![None; prev.len()];
-    let mut booked: Vec<Option<(usize, usize)>> = vec![None; prev.len()];
-    let mut booked_now: Vec<Option<usize>> = vec![None; prev.len()];
+    let mut util = vec![Vec::with_capacity(slots); policies.len()];
+    let mut current = vec![0.0; policies.len()];
+    let mut moving = true;
     for slot in 0..slots {
-        orch.begin_slot(slot, ObsCtx::none());
-        if orch.take_dirty() {
-            booked_now.fill(None);
-            for (app, server) in orch.reservations() {
-                if let Some(b) = booked_now.get_mut(app) {
-                    *b = Some(server);
-                }
+        // The machine steps until it idles; its views stay in force for
+        // the rest of the week.
+        if moving {
+            orch.begin_slot(slot, ObsCtx::none());
+            if orch.take_dirty() {
+                scheduler.set_views(orch.serving(), &orch.reservations());
             }
-            for (app, (open, &now)) in serving.iter_mut().zip(orch.serving()).enumerate() {
-                switch_window(open, now, app, slot, &mut residency.members);
-            }
-            for (app, (open, &now)) in booked.iter_mut().zip(&booked_now).enumerate() {
-                switch_window(open, now, app, slot, &mut residency.reservations);
+            moving = !orch.is_idle();
+            if moving {
+                orch.complete_slot(slot, &[], &[], ObsCtx::none());
             }
         }
-        if orch.is_idle() {
-            break;
+        for (d, series) in current.iter_mut().zip(demand) {
+            *d = series.get(slot).copied().unwrap_or(0.0);
         }
-        orch.complete_slot(slot, &[], &[], ObsCtx::none());
-    }
-    for (app, open) in serving.iter_mut().enumerate() {
-        switch_window(open, None, app, slots, &mut residency.members);
-    }
-    for (app, open) in booked.iter_mut().enumerate() {
-        switch_window(open, None, app, slots, &mut residency.reservations);
-    }
-    for windows in residency
-        .members
-        .iter_mut()
-        .chain(residency.reservations.iter_mut())
-    {
-        windows.sort_unstable();
-    }
-    (orch.report(names), residency)
-}
-
-/// Moves `app`'s open window to server `now` at `slot`: the old window
-/// (if any, and if it is on another server) closes into `windows`.
-fn switch_window(
-    open: &mut Option<(usize, usize)>,
-    now: Option<usize>,
-    app: usize,
-    slot: usize,
-    windows: &mut [Vec<Window>],
-) {
-    if open.map(|(server, _)| server) == now {
-        return;
-    }
-    if let Some((server, start)) = open.take() {
-        if let Some(list) = windows.get_mut(server) {
-            list.push((app, start, slot));
+        scheduler.step(slot, &current, policies)?;
+        for (row, out) in util.iter_mut().zip(scheduler.apps()) {
+            row.push(out.utilization);
         }
     }
-    *open = now.map(|server| (server, slot));
+    Ok((orch.report(names), util))
 }
 
 #[cfg(test)]
@@ -556,59 +473,117 @@ mod tests {
         );
     }
 
-    /// One week of ten slots: short enough to list every window.
+    /// One week of ten slots: short enough to check every slot.
     const W: usize = 10;
 
-    fn walk(prev: &[usize], next: &[usize], config: MigrationConfig) -> EpochResidency {
+    /// Replays a ten-slot epoch from `prev` to `next` on servers of 3
+    /// CPUs. Every app requests `2 × demand`, all of it CoS2, so its
+    /// utilization row shows who it shared a server with, slot by slot:
+    /// alone a 2-CPU request is granted in full (0.5), and a member or
+    /// reservation beside it scales the grants down.
+    fn epoch(
+        prev: &[usize],
+        next: &[usize],
+        demand: &[f64],
+        config: MigrationConfig,
+    ) -> (MigrationReport, Vec<Vec<f64>>) {
+        let columns: Vec<Vec<f64>> = demand.iter().map(|&d| vec![d; W]).collect();
+        let columns: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        let policy = WlmPolicy {
+            burst_factor: 2.0,
+            cos1_cap: 0.0,
+            total_cap: 100.0,
+        };
+        let policies = vec![policy; demand.len()];
         let names = ["a", "b", "c"];
-        walk_epoch_moves(prev, next, config, W, &names).1
+        replay_epoch(
+            3.0,
+            prev,
+            next,
+            config,
+            &columns,
+            &policies,
+            &names[..demand.len()],
+        )
+        .unwrap()
     }
+
+    /// A row of `(utilization, slots)` runs.
+    fn row(runs: &[(f64, usize)]) -> Vec<f64> {
+        runs.iter()
+            .flat_map(|&(u, len)| std::iter::repeat_n(u, len))
+            .collect()
+    }
+
+    /// Two 2-CPU requests on 3 CPUs: each is granted 1.5.
+    const SHARED: f64 = 1.0 / 1.5;
 
     #[test]
     fn teleport_moves_serve_the_new_placement_all_week() {
-        let residency = walk(&[0, 1, 0], &[1, 1, 0], MigrationConfig::teleport());
-        // Exactly each server's members of the new placement, in fleet
-        // order, for the whole week, with nothing reserved.
-        assert_eq!(
-            residency.members,
-            vec![vec![(2, 0, W)], vec![(0, 0, W), (1, 0, W)]]
+        // App 0 joins app 1 on server 1 for the whole week; app 2 keeps
+        // server 0 to itself, with nothing reserved beside it.
+        let (report, util) = epoch(
+            &[0, 1, 0],
+            &[1, 1, 0],
+            &[1.0; 3],
+            MigrationConfig::teleport(),
         );
-        assert_eq!(residency.reservations, vec![Vec::new(), Vec::new()]);
+        assert_eq!(report.committed, 1);
+        assert_eq!(
+            util,
+            vec![row(&[(SHARED, W)]), row(&[(SHARED, W)]), row(&[(0.5, W)])]
+        );
     }
 
     #[test]
     fn slot_start_cutover_serves_the_destination_from_that_slot() {
-        // Free drain and transfer: the move from 0 to 1 planned at slot
-        // 0 cuts over inside `begin_slot(0)`, so the destination serves
-        // the whole week. The source stays reserved through the two
-        // health slots (commit at the end of slot 1). App 0 is resident
-        // on server 1 throughout; windows are ordered by app.
+        // Free drain and transfer: the move of app 1 from server 0 to 1
+        // planned at slot 0 cuts over inside `begin_slot(0)`, so app 1
+        // serves beside app 0 all week. Server 0 stays reserved through
+        // the two health slots (commit at the end of slot 1), squeezing
+        // app 2 there until then.
         let config = MigrationConfig {
             drain_slots: 0,
             transfer_slots: 0,
             health_slots: 2,
             ..MigrationConfig::paced()
         };
-        let residency = walk(&[1, 0], &[1, 1], config);
+        let (report, util) = epoch(&[1, 0, 0], &[1, 1, 0], &[1.0; 3], config);
+        assert_eq!(report.committed, 1);
         assert_eq!(
-            residency.members,
-            vec![Vec::new(), vec![(0, 0, W), (1, 0, W)]]
+            util,
+            vec![
+                row(&[(SHARED, W)]),
+                row(&[(SHARED, W)]),
+                row(&[(SHARED, 2), (0.5, W - 2)]),
+            ]
         );
-        assert_eq!(residency.reservations, vec![vec![(1, 0, 2)], Vec::new()]);
     }
 
     #[test]
     fn paced_move_windows_follow_its_phases() {
-        // Drain slots 0-1 and transfer slot 2 keep the source serving and
-        // the destination reserved; cutover at the end of slot 2 hands
-        // serving over from slot 3; the source stays reserved through
-        // the health slots 3-4 and is released once the move commits.
-        let (report, residency) = walk_epoch_moves(&[0], &[1], MigrationConfig::paced(), W, &["a"]);
+        // App 0 moves from server 0 (beside app 1) to server 1 (beside
+        // app 2, which requests 4 CPUs). Drain slots 0-1 and transfer
+        // slot 2 keep it serving on server 0 with server 1 reserved;
+        // cutover at the end of slot 2 hands serving over from slot 3;
+        // server 0 stays reserved through the health slots 3-4 and is
+        // released once the move commits.
+        let (report, util) = epoch(
+            &[0, 0, 1],
+            &[1, 0, 1],
+            &[1.0, 1.0, 2.0],
+            MigrationConfig::paced(),
+        );
         assert_eq!(report.committed, 1);
-        assert_eq!(residency.members, vec![vec![(0, 0, 3)], vec![(0, 3, W)]]);
+        // Server 1 holds 6 CPUs of requests (member or reservation)
+        // all week, so its grants are halved; alone, app 2 would get 3.
         assert_eq!(
-            residency.reservations,
-            vec![vec![(0, 3, 5)], vec![(0, 0, 3)]]
+            util,
+            vec![
+                row(&[(SHARED, 3), (1.0, W - 3)]),
+                row(&[(SHARED, 5), (0.5, W - 5)]),
+                row(&[(1.0, W)]),
+            ]
         );
     }
 
@@ -616,21 +591,25 @@ mod tests {
     fn rolled_back_drains_release_their_reservations() {
         // A one-slot drain deadline under a two-slot drain rolls the move
         // back at the end of slot 0, retries at slot 2 after the backoff,
-        // and fails there: the app never leaves its source, and the
-        // destination is booked only while each attempt drains.
+        // and fails there: app 0 never leaves server 0, and server 1 is
+        // booked only while each attempt drains (slots 0 and 2).
         let config = MigrationConfig {
             max_retries: 1,
             ..MigrationConfig::paced().with_drain_deadline(1)
         };
-        let (report, residency) = walk_epoch_moves(&[0], &[1], config, W, &["a"]);
+        let (report, util) = epoch(&[0, 0, 1], &[1, 0, 1], &[1.0, 1.0, 2.0], config);
         assert_eq!(
             (report.committed, report.rolled_back, report.failed),
             (0, 2, 1)
         );
-        assert_eq!(residency.members, vec![vec![(0, 0, W)], Vec::new()]);
+        let alone = 2.0 / 3.0;
         assert_eq!(
-            residency.reservations,
-            vec![Vec::new(), vec![(0, 0, 1), (0, 2, 3)]]
+            util,
+            vec![
+                row(&[(SHARED, W)]),
+                row(&[(SHARED, W)]),
+                row(&[(1.0, 1), (alone, 1), (1.0, 1), (alone, W - 3)]),
+            ]
         );
     }
 

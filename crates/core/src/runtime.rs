@@ -5,22 +5,27 @@
 //! The translation and placement promise that, as long as the pool honours
 //! its CoS commitments, every application's utilization of allocation
 //! stays inside its acceptable/degraded envelope. This module *checks*
-//! that promise: it instantiates each server of a
-//! [`PlacementReport`](ropus_placement::consolidate::PlacementReport) as a
-//! two-priority [`Host`], drives it with the raw
-//! demand traces, and audits every application's delivered
-//! utilization-of-allocation series against its requirement. This is the
-//! "service levels are evaluated" step of the paper's medium-term control
-//! loop (§II).
+//! that promise: it drives the two-priority [`SlotScheduler`] over the
+//! static placement of a
+//! [`PlacementReport`](ropus_placement::consolidate::PlacementReport) with
+//! the raw demand traces, shedding what a server cannot serve, and audits
+//! every application's delivered utilization-of-allocation series against
+//! its requirement. This is the "service levels are evaluated" step of the
+//! paper's medium-term control loop (§II).
 
 use serde::{Deserialize, Serialize};
 
-use ropus_wlm::host::{Host, HostedWorkload};
+use ropus_trace::{Trace, TraceError};
+use ropus_wlm::host::SlotScheduler;
 use ropus_wlm::manager::WlmPolicy;
 use ropus_wlm::metrics::{audit, SloAudit};
 
 use crate::framework::{CapacityPlan, Framework, PlanRequest};
 use crate::FrameworkError;
+
+/// Bucket bounds of the `wlm.host.saturation` histogram: per-slot granted
+/// capacity as a fraction of the server's limit.
+const SATURATION_BOUNDS: [f64; 5] = [0.25, 0.5, 0.75, 0.9, 1.0];
 
 /// Delivered-QoS outcome for one application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,16 +81,21 @@ impl Framework {
     /// demand traces and audits the delivered QoS per application.
     ///
     /// The request's fleet must be the same fleet (same order) the plan
-    /// was built from. When the request carries an observability context,
-    /// the replay runs under a `pipeline.runtime_validation` span and
-    /// every host fills the `wlm.host.saturation` histogram plus the
-    /// unmet/scaled slot counters.
+    /// was built from. Every application runs on its planned server for
+    /// the whole horizon, and demand a server cannot serve is shed at
+    /// once. When the request carries an observability context, the
+    /// replay runs under a `pipeline.runtime_validation` span, every
+    /// placed server's per-slot granted total lands in the
+    /// `wlm.host.saturation` histogram (as a fraction of its capacity),
+    /// and slots where some demand went unmet or the CoS1 guarantee
+    /// itself was scaled down are counted (`wlm.host.unmet_slots`,
+    /// `wlm.host.cos1_scaled_slots`).
     ///
     /// # Errors
     ///
-    /// Returns [`FrameworkError::NoApplications`] for an empty fleet, a
-    /// trace error for misaligned inputs, and propagates translation
-    /// errors when recomputing the per-workload manager policies.
+    /// Returns [`FrameworkError::NoApplications`] for an empty fleet, and
+    /// a trace error when demand traces differ in length or the plan
+    /// covers a different number of applications.
     pub fn validate_runtime<'a>(
         &self,
         request: impl Into<PlanRequest<'a>>,
@@ -93,68 +103,114 @@ impl Framework {
     ) -> Result<PoolRuntimeReport, FrameworkError> {
         let request = request.into();
         let (apps, obs) = (request.apps(), request.obs());
-        if apps.is_empty() {
-            return Err(FrameworkError::NoApplications);
-        }
+        let first = apps.first().ok_or(FrameworkError::NoApplications)?;
         let _span = obs.span("pipeline.runtime_validation");
-        let mut app_outcomes: Vec<Option<AppRuntimeOutcome>> = vec![None; apps.len()];
-        let mut server_outcomes = Vec::new();
+        let assignment = &plan.normal_placement.assignment;
+        let horizon = first.demand().len();
+        let lengths = apps
+            .iter()
+            .map(|spec| (horizon, spec.demand().len()))
+            .chain([
+                (apps.len(), assignment.len()),
+                (apps.len(), plan.apps.len()),
+            ]);
+        for (left, right) in lengths {
+            if left != right {
+                return Err(TraceError::Misaligned { left, right }.into());
+            }
+        }
+        let samples: Vec<&[f64]> = apps.iter().map(|spec| spec.demand().samples()).collect();
+        let policies: Vec<WlmPolicy> = apps
+            .iter()
+            .zip(&plan.apps)
+            .map(|(spec, app_plan)| {
+                WlmPolicy::from_translation(&spec.policy().normal, &app_plan.normal)
+            })
+            .collect();
+        let capacity = self.server().capacity();
+        let mut scheduler = SlotScheduler::new(capacity, apps.len(), 0)?;
+        let serving: Vec<Option<usize>> = assignment.iter().map(|&s| Some(s)).collect();
+        scheduler.set_views(&serving, &[]);
 
-        for server_placement in &plan.normal_placement.servers {
-            let hosted: Vec<HostedWorkload> = server_placement
-                .workloads
+        let mut servers: Vec<ServerRuntimeOutcome> = plan
+            .normal_placement
+            .servers
+            .iter()
+            .map(|placed| ServerRuntimeOutcome {
+                server: placed.server,
+                contended_slots: 0,
+                peak_granted: 0.0,
+            })
+            .collect();
+        let mut unmet_total = vec![0.0f64; apps.len()];
+        let mut utilization = vec![Vec::with_capacity(horizon); apps.len()];
+        let mut unmet_on = vec![false; scheduler.granted().len()];
+        let mut demand = vec![0.0f64; apps.len()];
+        for slot in 0..horizon {
+            for (d, series) in demand.iter_mut().zip(&samples) {
+                *d = series.get(slot).copied().unwrap_or(0.0);
+            }
+            scheduler.step(slot, &demand, &policies)?;
+            unmet_on.fill(false);
+            for (((out, &d), (unmet, row)), &server) in scheduler
+                .apps()
                 .iter()
-                .map(|&i| {
-                    // lint:allow(panic-slice-index): the plan's placement
-                    // was computed over these same apps, so `i` indexes
-                    // both `apps` and `plan.apps` in range.
-                    let (spec, app_plan) = (&apps[i], &plan.apps[i]);
-                    let policy =
-                        WlmPolicy::from_translation(&spec.policy().normal, &app_plan.normal);
-                    HostedWorkload::new(spec.name(), spec.demand().clone(), policy)
-                })
-                .collect();
-            let host = Host::new(self.server().capacity())?;
-            let outcome = host.run(&hosted, obs)?;
+                .zip(&demand)
+                .zip(unmet_total.iter_mut().zip(utilization.iter_mut()))
+                .zip(assignment)
+            {
+                let slot_unmet = d - out.served;
+                *unmet += slot_unmet;
+                if let Some(flag) = unmet_on.get_mut(server).filter(|_| slot_unmet > 0.0) {
+                    *flag = true;
+                }
+                row.push(out.utilization);
+            }
+            for outcome in &mut servers {
+                let at = |flags: &[bool]| flags.get(outcome.server).copied().unwrap_or(false);
+                if at(scheduler.contended()) {
+                    outcome.contended_slots += 1;
+                }
+                if at(scheduler.cos1_scaled()) {
+                    obs.counter("wlm.host.cos1_scaled_slots", 1);
+                }
+                if at(&unmet_on) {
+                    obs.counter("wlm.host.unmet_slots", 1);
+                }
+                let granted = scheduler.granted().get(outcome.server).copied();
+                let granted = granted.unwrap_or(0.0);
+                obs.histogram(
+                    "wlm.host.saturation",
+                    &SATURATION_BOUNDS,
+                    granted / capacity,
+                );
+                outcome.peak_granted = outcome.peak_granted.max(granted);
+            }
+        }
 
-            // Host outcomes come back in hosted order — the placement's
-            // workload order — so zip instead of indexing by slot.
-            for (wo, &app_index) in outcome.workloads.iter().zip(&server_placement.workloads) {
-                // lint:allow(panic-slice-index): placement indices are in
-                // range of `apps` (see above).
-                let spec = &apps[app_index];
-                let demand_total: f64 = spec.demand().iter().sum();
-                let unmet_total: f64 = wo.unmet.iter().sum();
-                let unmet_demand_fraction = if demand_total > 0.0 {
-                    unmet_total / demand_total
+        let calendar = first.demand().calendar();
+        let mut app_outcomes = Vec::with_capacity(apps.len());
+        for (((spec, row), unmet), &server) in apps
+            .iter()
+            .zip(utilization)
+            .zip(unmet_total)
+            .zip(assignment)
+        {
+            let demand_total: f64 = spec.demand().iter().sum();
+            app_outcomes.push(AppRuntimeOutcome {
+                name: spec.name().to_string(),
+                server,
+                audit: audit(&Trace::from_samples(calendar, row)?, &spec.policy().normal),
+                unmet_demand_fraction: if demand_total > 0.0 {
+                    unmet / demand_total
                 } else {
                     0.0
-                };
-                // lint:allow(panic-slice-index): same in-range invariant
-                // for the per-app outcome slot.
-                app_outcomes[app_index] = Some(AppRuntimeOutcome {
-                    name: wo.name.clone(),
-                    server: server_placement.server,
-                    audit: audit(&wo.utilization, &spec.policy().normal),
-                    unmet_demand_fraction,
-                });
-            }
-            server_outcomes.push(ServerRuntimeOutcome {
-                server: server_placement.server,
-                contended_slots: outcome.contended_slots,
-                peak_granted: outcome.total_granted.peak(),
+                },
             });
         }
-
-        let apps_flat: Vec<AppRuntimeOutcome> = app_outcomes
-            .into_iter()
-            // lint:allow(panic-expect): the placement partitions all app
-            // indices across servers, so every slot was filled above.
-            .map(|o| o.expect("every application is placed on exactly one server"))
-            .collect();
         Ok(PoolRuntimeReport {
-            apps: apps_flat,
-            servers: server_outcomes,
+            apps: app_outcomes,
+            servers,
         })
     }
 }
@@ -256,6 +312,68 @@ mod tests {
             !runtime.all_compliant() || runtime.apps.iter().any(|a| a.unmet_demand_fraction > 0.05),
             "a 3x overload must be visible in the audit"
         );
+    }
+
+    #[test]
+    fn observed_validation_counts_unmet_slots_and_fills_saturation_histogram() {
+        // The overloaded replay of the test above, observed: every placed
+        // server's every slot lands in the saturation histogram, and the
+        // slots where some demand went unmet are counted.
+        let fleet = case_study_fleet(&FleetConfig {
+            apps: 4,
+            weeks: 1,
+            ..FleetConfig::paper()
+        });
+        let apps: Vec<AppSpec> = fleet
+            .iter()
+            .map(|a| AppSpec::new(a.name.clone(), a.trace.clone(), policy()))
+            .collect();
+        let fw = framework(2);
+        let plan = fw.plan(&apps).unwrap();
+        let inflated: Vec<AppSpec> = fleet
+            .into_iter()
+            .map(|a| AppSpec::new(a.name, a.trace.scaled(3.0).unwrap(), policy()))
+            .collect();
+        let obs = ropus_obs::Obs::deterministic();
+        let runtime = fw
+            .validate_runtime(PlanRequest::of(&inflated).with_obs(&obs), &plan)
+            .unwrap();
+        let report = obs.report();
+        let horizon = inflated[0].demand().len() as u64;
+        let server_slots = runtime.servers.len() as u64 * horizon;
+        let hist = report.histogram("wlm.host.saturation").unwrap();
+        assert_eq!(hist.total, server_slots);
+        let unmet = report.counter("wlm.host.unmet_slots");
+        assert!(unmet > 0 && unmet <= server_slots, "unmet slots {unmet}");
+        assert_eq!(report.spans_named("pipeline.runtime_validation").count(), 1);
+    }
+
+    #[test]
+    fn misaligned_fleet_is_rejected() {
+        let fw = framework(0);
+        let fleet = case_study_fleet(&FleetConfig {
+            apps: 2,
+            weeks: 1,
+            ..FleetConfig::paper()
+        });
+        let apps: Vec<AppSpec> = fleet
+            .into_iter()
+            .map(|a| AppSpec::new(a.name, a.trace, policy()))
+            .collect();
+        let plan = fw.plan(&apps).unwrap();
+        let short = Trace::constant(Calendar::five_minute(), 1.0, 10).unwrap();
+        let misaligned = vec![
+            apps[0].clone(),
+            AppSpec::new(apps[1].name(), short, policy()),
+        ];
+        assert!(matches!(
+            fw.validate_runtime(&misaligned, &plan),
+            Err(FrameworkError::Trace(TraceError::Misaligned { .. }))
+        ));
+        assert!(matches!(
+            fw.validate_runtime(&apps[..1], &plan),
+            Err(FrameworkError::Trace(TraceError::Misaligned { .. }))
+        ));
     }
 
     #[test]

@@ -45,18 +45,6 @@ impl ConsolidationOptions {
         }
     }
 
-    /// Replaces the genetic-search options wholesale.
-    pub fn with_ga(mut self, ga: GaOptions) -> Self {
-        self.ga = ga;
-        self
-    }
-
-    /// Sets the reporting capacity tolerance.
-    pub fn with_report_tolerance(mut self, tolerance: f64) -> Self {
-        self.report_tolerance = tolerance;
-        self
-    }
-
     /// Sets the worker-thread count used by the engine (1 = serial).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.ga = self.ga.with_threads(threads);

@@ -82,33 +82,9 @@ impl GaOptions {
         }
     }
 
-    /// Sets the population size.
-    pub fn with_population(mut self, population: usize) -> Self {
-        self.population = population;
-        self
-    }
-
     /// Sets the hard cap on generations.
     pub fn with_max_generations(mut self, max_generations: usize) -> Self {
         self.max_generations = max_generations;
-        self
-    }
-
-    /// Sets the stagnation limit.
-    pub fn with_stagnation_limit(mut self, stagnation_limit: usize) -> Self {
-        self.stagnation_limit = stagnation_limit;
-        self
-    }
-
-    /// Sets the per-individual drain-mutation probability.
-    pub fn with_drain_mutation_probability(mut self, probability: f64) -> Self {
-        self.drain_mutation_probability = probability;
-        self
-    }
-
-    /// Sets the per-gene random-reassignment probability.
-    pub fn with_gene_mutation_probability(mut self, probability: f64) -> Self {
-        self.gene_mutation_probability = probability;
         self
     }
 

@@ -204,18 +204,6 @@ impl Trace {
         self.samples().iter().copied()
     }
 
-    /// Consumes the trace, returning the samples as an owned vector.
-    ///
-    /// This is the one deliberate copy in the API: the underlying buffer
-    /// may be shared with other traces or be a sub-window, so an owned
-    /// `Vec` cannot be recovered in place. Prefer [`Trace::samples`] or
-    /// [`Trace::view`] when borrowing suffices.
-    pub fn into_samples(self) -> Vec<f64> {
-        // lint:allow(needless-trace-clone): materializing an owned Vec is
-        // this method's documented purpose; the buffer may be shared.
-        self.samples().to_vec()
-    }
-
     /// Number of *whole* weeks covered (the paper's `W`). Trailing partial
     /// weeks are not counted.
     pub fn weeks(&self) -> usize {

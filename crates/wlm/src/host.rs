@@ -1,525 +1,515 @@
-//! The two-priority host scheduler.
+//! The two-priority slot scheduler.
 //!
 //! "Demands associated with the higher priority are allocated capacity
 //! first; they correspond to the higher CoS. Any remaining capacity is then
-//! allocated to satisfy lower priority demands" (§II). The host replays
-//! each workload's demand trace through its manager, grants CoS1 requests
-//! first (scaled proportionally in the pathological case where even they
-//! exceed capacity), then shares the remaining capacity across CoS2
-//! requests proportionally to their size.
+//! allocated to satisfy lower priority demands" (§II). [`SlotScheduler`]
+//! runs that rule over a whole pool one slot at a time: each server grants
+//! its members' CoS1 requests first (scaled proportionally in the
+//! pathological case where even they exceed capacity), then shares the
+//! remaining capacity across CoS2 requests proportionally to their size.
+//!
+//! It is the one implementation of the rule. Runtime validation drives it
+//! over a static placement, the lifecycle loop and the chaos replay over
+//! the serving and reservation views of the migration state machine.
 
-use ropus_obs::ObsCtx;
-use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
-use ropus_trace::{kernels, Trace, TraceError};
+use ropus_trace::TraceError;
 
 use crate::error::WlmError;
-use crate::manager::{WlmPolicy, WorkloadManager};
+use crate::manager::{AllocationRequest, WlmPolicy};
 use crate::metrics::utilization_of_allocation;
 
-/// Bucket bounds of the `wlm.host.saturation` histogram: per-slot granted
-/// capacity as a fraction of the host's limit.
-const SATURATION_BOUNDS: [f64; 5] = [0.25, 0.5, 0.75, 0.9, 1.0];
+/// Amounts at or below this count as fully served or drained.
+pub const SERVED_EPSILON: f64 = 1e-9;
 
-/// A workload co-located on the host: demand trace plus manager policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostedWorkload {
-    name: String,
-    demand: Trace,
-    policy: WlmPolicy,
-    /// Active slot window `[start, end)`: the workload requests nothing
-    /// outside it, and its manager starts fresh at `start`. `None` =
-    /// active over the whole trace.
-    active: Option<(usize, usize)>,
+/// One application's outcome of a scheduled slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AppSlot {
+    /// Current demand served in the slot: `min(demand, grant + the
+    /// backlog's share of CoS2)`.
+    pub served: f64,
+    /// Deferred work drained, oldest first, from the grant left over.
+    pub late: f64,
+    /// Demand shed in the slot: the shortfall when shedding at once, or
+    /// deferred work whose deadline passed.
+    pub shed: f64,
+    /// Capacity granted to the slot's allocation request (the backlog's
+    /// CoS2 share excluded); 0 for an application that serves nowhere.
+    pub grant: f64,
+    /// [`utilization_of_allocation`] of [`grant`](Self::grant) by current
+    /// demand: draining the backlog uses headroom and is not charged.
+    pub utilization: f64,
+    /// Whether a shortfall was deferred into the backlog.
+    pub deferred: bool,
+    /// Whether deferred work was outstanding when the slot began.
+    pub recovering: bool,
+    /// Deferred work outstanding after the slot.
+    pub backlog: f64,
 }
 
-impl HostedWorkload {
-    /// Creates a hosted workload, active over its whole trace.
-    pub fn new(name: impl Into<String>, demand: Trace, policy: WlmPolicy) -> Self {
-        HostedWorkload {
-            name: name.into(),
-            demand,
-            policy,
-            active: None,
-        }
-    }
-
-    /// Restricts the workload to the slot window `[start, end)` — the
-    /// residency window of a workload that migrated onto or off the
-    /// host mid-trace. Outside the window it requests (and is granted)
-    /// nothing; its manager's smoothing state starts fresh at `start`.
-    pub fn with_window(mut self, start: usize, end: usize) -> Self {
-        self.active = Some((start, end.max(start)));
-        self
-    }
-
-    /// Workload name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The demand trace driving the simulation.
-    pub fn demand(&self) -> &Trace {
-        &self.demand
-    }
-
-    /// The active slot window, when restricted.
-    pub fn window(&self) -> Option<(usize, usize)> {
-        self.active
-    }
-
-    /// Replays this workload's manager into per-slot CoS request
-    /// columns of length `len`, honoring the active window.
-    fn request_columns(&self, len: usize) -> (Vec<f64>, Vec<f64>) {
-        let (start, end) = self
-            .active
-            .map_or((0, len), |(s, e)| (s.min(len), e.min(len)));
-        let mut c1 = vec![0.0; len];
-        let mut c2 = vec![0.0; len];
-        let mut manager = WorkloadManager::new(self.policy);
-        let demand = self.demand.samples();
-        for slot in start..end {
-            // lint:allow(panic-slice-index): start/end clamped to len,
-            // and demand length was validated against len by the host.
-            let request = manager.observe(demand[slot]);
-            c1[slot] = request.cos1;
-            c2[slot] = request.cos2;
-        }
-        (c1, c2)
-    }
-}
-
-/// Per-workload simulation outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadOutcome {
-    /// Workload name.
-    pub name: String,
-    /// Capacity granted per slot (CoS1 + CoS2 grants).
-    pub granted: Trace,
-    /// Demand actually served per slot (`min(demand, grant)`).
-    pub served: Trace,
-    /// Demand that found no capacity, per slot.
-    pub unmet: Trace,
-    /// Measured utilization of allocation per slot
-    /// ([`utilization_of_allocation`]: `served / granted`, 0 where
-    /// nothing beyond float residue was granted).
-    pub utilization: Trace,
-}
-
-/// Whole-host simulation outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HostOutcome {
-    /// Per-workload outcomes, in input order.
-    pub workloads: Vec<WorkloadOutcome>,
-    /// Total capacity granted per slot across workloads.
-    pub total_granted: Trace,
-    /// Slots where CoS2 requests were not fully granted.
-    pub contended_slots: usize,
-}
-
-/// A host with a fixed capacity running the two-priority scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Host {
+/// A pool of equal-capacity servers running the two-priority scheduler,
+/// stepped one slot at a time.
+///
+/// Where applications run comes from two views, replaced with
+/// [`set_views`](Self::set_views) whenever they change: the *serving*
+/// view (application → server it runs on, if any) and the *reservation*
+/// view (`(application, server)` pairs for migrations in flight). A
+/// reservation presses on the server's scales with the application's
+/// request, exactly as a member would, but draws no grant there: that is
+/// how a migration double-books capacity on both ends.
+///
+/// Demand a server cannot serve is deferred as a FIFO backlog of CoS2
+/// work that rides along with the next slots' requests, until it drains
+/// or waits `deadline_slots` and is shed; a deadline of 0 sheds every
+/// shortfall at once. The scheduler records no observability itself:
+/// callers read [`apps`](Self::apps) and the per-server outputs after each
+/// [`step`](Self::step).
+#[derive(Debug, Clone)]
+pub struct SlotScheduler {
     capacity: f64,
+    deadline_slots: usize,
+    hosted: Vec<Vec<usize>>,
+    reserved: Vec<Vec<usize>>,
+    requests: Vec<AllocationRequest>,
+    extra: Vec<f64>,
+    extra_grant: Vec<f64>,
+    backlog: Vec<VecDeque<(usize, f64)>>,
+    apps: Vec<AppSlot>,
+    contended: Vec<bool>,
+    cos1_scaled: Vec<bool>,
+    granted: Vec<f64>,
 }
 
-impl Host {
-    /// Creates a host.
+impl SlotScheduler {
+    /// Creates a scheduler for `apps` applications on servers of
+    /// `capacity`, with nobody serving anywhere yet.
     ///
     /// # Errors
     ///
     /// Returns [`WlmError::InvalidCapacity`] if `capacity` is not positive
-    /// and finite — a zero-capacity host would replay every workload into
-    /// NaN utilizations instead of failing loudly.
-    pub fn new(capacity: f64) -> Result<Self, WlmError> {
+    /// and finite — a zero-capacity server would replay every workload
+    /// into NaN utilizations instead of failing loudly.
+    pub fn new(capacity: f64, apps: usize, deadline_slots: usize) -> Result<Self, WlmError> {
         if !capacity.is_finite() || capacity <= 0.0 {
             return Err(WlmError::InvalidCapacity { capacity });
         }
-        Ok(Host { capacity })
+        Ok(SlotScheduler {
+            capacity,
+            deadline_slots,
+            hosted: Vec::new(),
+            reserved: Vec::new(),
+            requests: vec![AllocationRequest::default(); apps],
+            extra: vec![0.0; apps],
+            extra_grant: vec![0.0; apps],
+            backlog: vec![VecDeque::new(); apps],
+            apps: vec![AppSlot::default(); apps],
+            contended: Vec::new(),
+            cos1_scaled: Vec::new(),
+            granted: Vec::new(),
+        })
     }
 
-    /// The host's capacity limit.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
+    /// Replaces the serving and reservation views. Entries naming an
+    /// application past the scheduler's count are ignored; applications
+    /// past the end of `serving` serve nowhere.
+    pub fn set_views(&mut self, serving: &[Option<usize>], reservations: &[(usize, usize)]) {
+        let servers = serving
+            .iter()
+            .flatten()
+            .chain(reservations.iter().map(|(_, s)| s))
+            .max()
+            .map_or(0, |&s| s + 1)
+            .max(self.hosted.len());
+        self.hosted.resize_with(servers, Vec::new);
+        self.reserved.resize_with(servers, Vec::new);
+        self.contended.resize(servers, false);
+        self.cos1_scaled.resize(servers, false);
+        self.granted.resize(servers, 0.0);
+        for list in self.hosted.iter_mut().chain(self.reserved.iter_mut()) {
+            list.clear();
+        }
+        for (app, &server) in serving.iter().enumerate().take(self.apps.len()) {
+            if let Some(list) = server.and_then(|s| self.hosted.get_mut(s)) {
+                list.push(app);
+            }
+        }
+        for &(app, server) in reservations {
+            if app < self.apps.len() {
+                if let Some(list) = self.reserved.get_mut(server) {
+                    list.push(app);
+                }
+            }
+        }
     }
 
-    /// Replays the workloads' demand traces through their managers and the
-    /// two-priority scheduler.
-    ///
-    /// The manager reacts to the demand measured in the *current* slot —
-    /// the paper's 5-minute control interval collapses to trace
-    /// granularity. Unserved demand is dropped (interactive work is lost,
-    /// not queued); carry-over behaviour is the placement simulator's
-    /// concern, not the host scheduler's.
-    ///
-    /// When `obs` carries an enabled handle, every slot's granted total
-    /// lands in the `wlm.host.saturation` histogram (as a fraction of the
-    /// capacity limit), and outcomes the result traces cannot express —
-    /// slots where the CoS1 *guarantee* itself was scaled down, and slots
-    /// where some demand went unmet — are counted instead of dropped
-    /// (`wlm.host.cos1_scaled_slots`, `wlm.host.unmet_slots`).
-    ///
-    /// Metric updates are commutative counters/histograms only, so hosts
-    /// may be replayed from parallel workers without breaking snapshot
-    /// determinism.
+    /// Schedules slot `slot`: every application requests
+    /// `policies[i].request(demand[i])`, each server computes its CoS1 and
+    /// CoS2 scales over its members and reservations, and every
+    /// application serves current demand first, drains its backlog with
+    /// what is left of its grant, then defers or sheds the shortfall.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Misaligned`] (wrapped in
-    /// [`WlmError::Trace`]) when demand traces differ in length, or
-    /// [`TraceError::Empty`] when no workloads are given.
-    pub fn run(
-        &self,
-        workloads: &[HostedWorkload],
-        obs: ObsCtx<'_>,
-    ) -> Result<HostOutcome, WlmError> {
-        self.run_with_reservations(workloads, &[], obs)
-    }
-
-    /// [`run`](Self::run), with migration reservations double-booked on
-    /// the host.
-    ///
-    /// Each reservation's manager requests are added to the per-slot CoS
-    /// sums — squeezing the scales exactly as a member would, which is
-    /// how the drain phase of a migration serves the same demand on both
-    /// ends — but reservations receive no grants of their own and
-    /// produce no [`WorkloadOutcome`]; `total_granted` covers members
-    /// only. With an empty reservation list this is exactly
-    /// [`run`](Self::run).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Self::run); reservation traces must align with the
-    /// members' too.
-    pub fn run_with_reservations(
-        &self,
-        workloads: &[HostedWorkload],
-        reservations: &[HostedWorkload],
-        obs: ObsCtx<'_>,
-    ) -> Result<HostOutcome, WlmError> {
-        let first = workloads.first().ok_or(TraceError::Empty)?;
-        let len = first.demand.len();
-        let calendar = first.demand.calendar();
-        for w in workloads.iter().chain(reservations) {
-            if w.demand.len() != len {
+    /// Returns [`TraceError::Misaligned`] (wrapped in [`WlmError::Trace`])
+    /// unless `demand` and `policies` hold one entry per application.
+    pub fn step(
+        &mut self,
+        slot: usize,
+        demand: &[f64],
+        policies: &[WlmPolicy],
+    ) -> Result<(), WlmError> {
+        let n = self.apps.len();
+        for len in [demand.len(), policies.len()] {
+            if len != n {
                 return Err(WlmError::Trace(TraceError::Misaligned {
-                    left: len,
-                    right: w.demand.len(),
+                    left: n,
+                    right: len,
                 }));
             }
         }
+        let SlotScheduler {
+            capacity,
+            deadline_slots,
+            hosted,
+            reserved,
+            requests,
+            extra,
+            extra_grant,
+            backlog,
+            apps,
+            contended,
+            cos1_scaled,
+            granted,
+        } = self;
+        let (capacity, deadline_slots) = (*capacity, *deadline_slots);
 
-        let n = workloads.len();
-
-        // Pass 1, workload-major: replay each manager over its whole
-        // demand column. Manager state is per-workload, so running columns
-        // to completion produces the same requests as the old interleaved
-        // slot loop while keeping each manager's state in registers.
-        let mut cos1_req: Vec<Vec<f64>> = Vec::with_capacity(n);
-        let mut cos2_req: Vec<Vec<f64>> = Vec::with_capacity(n);
-        for w in workloads {
-            let (c1, c2) = w.request_columns(len);
-            cos1_req.push(c1);
-            cos2_req.push(c2);
-        }
-
-        // Pass 2, columnar: slot-wise request sums accumulated per
-        // workload in input order — the same left-to-right association as
-        // the per-slot `iter().sum()` this replaces, so the sums are
-        // bit-identical. Reservations are summed after the members, in
-        // input order, so a reservation-free call never re-associates.
-        let mut cos1_sum = vec![0.0; len];
-        for column in &cos1_req {
-            kernels::add_assign(&mut cos1_sum, column);
-        }
-        let mut cos2_sum = vec![0.0; len];
-        for column in &cos2_req {
-            kernels::add_assign(&mut cos2_sum, column);
-        }
-        for r in reservations {
-            let (c1, c2) = r.request_columns(len);
-            kernels::add_assign(&mut cos1_sum, &c1);
-            kernels::add_assign(&mut cos2_sum, &c2);
-        }
-
-        // Pass 3, slot-major: the two-priority scales. CoS1 is granted in
-        // full (scaled down proportionally only if the guarantee was
-        // violated upstream); CoS2 shares what remains proportionally.
-        let mut cos1_scale = vec![1.0; len];
-        let mut cos2_scale = vec![1.0; len];
-        let mut contended_slots = 0usize;
-        for (((&c1, &c2), s1), s2) in cos1_sum
-            .iter()
-            .zip(&cos2_sum)
-            .zip(cos1_scale.iter_mut())
-            .zip(cos2_scale.iter_mut())
+        // Requests: each manager reacts to the demand measured in this
+        // slot; outstanding backlog rides along as extra CoS2.
+        for ((((request, extra), (policy, &d)), queue), (app, g)) in requests
+            .iter_mut()
+            .zip(extra.iter_mut())
+            .zip(policies.iter().zip(demand))
+            .zip(backlog.iter())
+            .zip(apps.iter_mut().zip(extra_grant.iter_mut()))
         {
-            if c1 > self.capacity {
-                *s1 = self.capacity / c1;
+            *request = policy.request(d);
+            *extra = queue.iter().map(|e| e.1).sum();
+            app.grant = 0.0;
+            *g = 0.0;
+        }
+
+        // Scales: members' requests summed in application order, then the
+        // reservations' as one separate sum. CoS1 is granted in full
+        // (scaled down proportionally only if the guarantee was violated
+        // upstream); CoS2 shares what remains proportionally.
+        for ((((ids, resv), contended), cos1_scaled), granted) in hosted
+            .iter()
+            .zip(reserved.iter())
+            .zip(contended.iter_mut())
+            .zip(cos1_scaled.iter_mut())
+            .zip(granted.iter_mut())
+        {
+            *contended = false;
+            *cos1_scaled = false;
+            *granted = 0.0;
+            if ids.is_empty() && resv.is_empty() {
+                continue;
             }
-            let remaining = (self.capacity - c1 * *s1).max(0.0);
-            if c2 > remaining && c2 > 0.0 {
-                *s2 = remaining / c2;
+            let mut cos1_sum: f64 = ids.iter().map(|&i| requests[i].cos1).sum();
+            let mut cos2_sum: f64 = ids.iter().map(|&i| requests[i].cos2 + extra[i]).sum();
+            if !resv.is_empty() {
+                cos1_sum += resv.iter().map(|&i| requests[i].cos1).sum::<f64>();
+                cos2_sum += resv.iter().map(|&i| requests[i].cos2).sum::<f64>();
             }
-            if *s2 < 1.0 || *s1 < 1.0 {
-                contended_slots += 1;
-            }
-            if *s1 < 1.0 {
-                obs.counter("wlm.host.cos1_scaled_slots", 1);
+            let cos1_scale = if cos1_sum > capacity {
+                capacity / cos1_sum
+            } else {
+                1.0
+            };
+            let remaining = (capacity - cos1_sum * cos1_scale).max(0.0);
+            let cos2_scale = if cos2_sum > remaining && cos2_sum > 0.0 {
+                remaining / cos2_sum
+            } else {
+                1.0
+            };
+            *contended = cos1_scale < 1.0 || cos2_scale < 1.0;
+            *cos1_scaled = cos1_scale < 1.0;
+            for &i in ids {
+                let grant = requests[i].cos1 * cos1_scale + requests[i].cos2 * cos2_scale;
+                apps[i].grant = grant;
+                extra_grant[i] = extra[i] * cos2_scale;
+                *granted += grant;
             }
         }
 
-        // Pass 4, workload-major elementwise: grants and outcomes per
-        // column, reusing the request buffers; host-level sums accumulate
-        // per workload in input order (same association as before).
-        let mut total_granted = vec![0.0; len];
-        let mut slot_unmet = vec![0.0; len];
-        let mut outcomes = Vec::with_capacity(n);
-        for ((w, c1), c2) in workloads.iter().zip(cos1_req).zip(cos2_req) {
-            let demand = w.demand.samples();
-            let mut granted = c1;
-            for ((g, &c2v), (&s1, &s2)) in granted
-                .iter_mut()
-                .zip(&c2)
-                .zip(cos1_scale.iter().zip(&cos2_scale))
-            {
-                *g = *g * s1 + c2v * s2;
+        // Service: current demand first, then the backlog FIFO with
+        // whatever grant is left, then the shortfall is deferred or shed.
+        for ((app, queue), (&d, &extra_grant)) in apps
+            .iter_mut()
+            .zip(backlog.iter_mut())
+            .zip(demand.iter().zip(extra_grant.iter()))
+        {
+            let recovering = !queue.is_empty();
+            let grant = app.grant;
+            let total = grant + extra_grant;
+            let served = d.min(total);
+            let mut leftover = (total - served).max(0.0);
+            let mut late = 0.0f64;
+            while leftover > SERVED_EPSILON {
+                let Some(front) = queue.front_mut() else {
+                    break;
+                };
+                let take = front.1.min(leftover);
+                front.1 -= take;
+                late += take;
+                leftover -= take;
+                if front.1 <= SERVED_EPSILON {
+                    queue.pop_front();
+                }
             }
-            let mut served = c2;
-            for ((s, &d), &g) in served.iter_mut().zip(demand).zip(&granted) {
-                *s = d.min(g);
+            let shortfall = d - served;
+            let mut shed = 0.0f64;
+            let mut deferred = false;
+            if shortfall > SERVED_EPSILON {
+                if deadline_slots > 0 {
+                    queue.push_back((slot, shortfall));
+                    deferred = true;
+                } else {
+                    shed = shortfall;
+                }
             }
-            let mut unmet = Vec::with_capacity(len);
-            let mut utilization = Vec::with_capacity(len);
-            for ((&d, &g), &s) in demand.iter().zip(&granted).zip(&served) {
-                unmet.push(d - s);
-                utilization.push(utilization_of_allocation(s, g));
+            // Expire deferred work past its deadline. Entries are in
+            // arrival order, so the front is always the oldest.
+            while let Some(&(arrival, amount)) = queue.front() {
+                if slot < arrival + deadline_slots {
+                    break;
+                }
+                shed += amount;
+                queue.pop_front();
             }
-            kernels::add_assign(&mut total_granted, &granted);
-            kernels::add_assign(&mut slot_unmet, &unmet);
-            // Hand the accumulated sample vectors to their traces; nothing
-            // is copied — each Vec becomes the trace's shared buffer.
-            outcomes.push(WorkloadOutcome {
-                name: w.name.clone(),
-                granted: Trace::from_samples(calendar, granted)?,
-                served: Trace::from_samples(calendar, served)?,
-                unmet: Trace::from_samples(calendar, unmet)?,
-                utilization: Trace::from_samples(calendar, utilization)?,
-            });
+            *app = AppSlot {
+                served,
+                late,
+                shed,
+                grant,
+                utilization: utilization_of_allocation(served, grant),
+                deferred,
+                recovering,
+                backlog: queue.iter().map(|e| e.1).sum(),
+            };
         }
+        Ok(())
+    }
 
-        // Pass 5, slot-major: host-level observability, in slot order.
-        // Counter and histogram updates are commutative, so splitting them
-        // out of the scheduling loop cannot change a report.
-        for (&total, &u) in total_granted.iter().zip(&slot_unmet) {
-            if u > 0.0 {
-                obs.counter("wlm.host.unmet_slots", 1);
-            }
-            obs.histogram(
-                "wlm.host.saturation",
-                &SATURATION_BOUNDS,
-                total / self.capacity,
-            );
-        }
+    /// Every application's outcome of the last [`step`](Self::step), in
+    /// application order.
+    pub fn apps(&self) -> &[AppSlot] {
+        &self.apps
+    }
 
-        Ok(HostOutcome {
-            workloads: outcomes,
-            total_granted: Trace::from_samples(calendar, total_granted)?,
-            contended_slots,
-        })
+    /// Per server id: whether the last step scaled some request down.
+    pub fn contended(&self) -> &[bool] {
+        &self.contended
+    }
+
+    /// Per server id: whether the last step scaled the CoS1 guarantee
+    /// itself down.
+    pub fn cos1_scaled(&self) -> &[bool] {
+        &self.cos1_scaled
+    }
+
+    /// Per server id: the capacity the last step granted to its members'
+    /// requests, summed in application order.
+    pub fn granted(&self) -> &[f64] {
+        &self.granted
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ropus_obs::Obs;
-    use ropus_trace::Calendar;
-
-    fn cal() -> Calendar {
-        Calendar::five_minute()
-    }
 
     fn policy(cos1_cap: f64, total_cap: f64) -> WlmPolicy {
         WlmPolicy {
             burst_factor: 2.0,
             cos1_cap,
             total_cap,
-            min_allocation: 0.0,
-            smoothing: 1.0,
         }
     }
 
-    fn constant(name: &str, demand: f64, len: usize, p: WlmPolicy) -> HostedWorkload {
-        HostedWorkload::new(name, Trace::constant(cal(), demand, len).unwrap(), p)
+    /// A scheduler with every app on server 0 and nothing reserved.
+    fn one_server(capacity: f64, apps: usize, deadline_slots: usize) -> SlotScheduler {
+        let mut scheduler = SlotScheduler::new(capacity, apps, deadline_slots).unwrap();
+        scheduler.set_views(&vec![Some(0); apps], &[]);
+        scheduler
     }
 
     #[test]
     fn uncontended_host_grants_full_requests() {
-        let host = Host::new(16.0).unwrap();
-        let w = constant("a", 2.0, 50, policy(1.0, 100.0));
-        let outcome = host.run(&[w], ObsCtx::none()).unwrap();
-        let o = &outcome.workloads[0];
+        let mut s = one_server(16.0, 1, 0);
+        s.step(0, &[2.0], &[policy(1.0, 100.0)]).unwrap();
         // Request = 2 * 2 = 4, fully granted; demand 2 fully served.
-        assert_eq!(o.granted.samples()[10], 4.0);
-        assert_eq!(o.served.samples()[10], 2.0);
-        assert_eq!(o.unmet.samples()[10], 0.0);
-        assert_eq!(o.utilization.samples()[10], 0.5);
-        assert_eq!(outcome.contended_slots, 0);
+        let a = s.apps()[0];
+        assert_eq!(
+            (a.grant, a.served, a.shed, a.utilization),
+            (4.0, 2.0, 0.0, 0.5)
+        );
+        assert_eq!(s.contended(), &[false]);
+        assert_eq!(s.granted(), &[4.0]);
     }
 
     #[test]
     fn cos1_is_served_before_cos2() {
-        let host = Host::new(10.0).unwrap();
-        // Workload A: all CoS1 (cap above request). Workload B: all CoS2.
-        let a = constant("a", 4.0, 20, policy(100.0, 100.0));
-        let b = constant("b", 4.0, 20, policy(0.0, 100.0));
-        let outcome = host.run(&[a, b], ObsCtx::none()).unwrap();
+        // A: all CoS1 (cap above request). B: all CoS2.
+        let mut s = one_server(10.0, 2, 0);
+        s.step(0, &[4.0, 4.0], &[policy(100.0, 100.0), policy(0.0, 100.0)])
+            .unwrap();
         // A requests 8 CoS1 -> granted in full; B requests 8 CoS2 but only
-        // 2 remain.
-        assert_eq!(outcome.workloads[0].granted.samples()[5], 8.0);
-        assert_eq!(outcome.workloads[1].granted.samples()[5], 2.0);
-        assert!(outcome.contended_slots > 0);
-        // B's demand 4 only gets 2 served.
-        assert_eq!(outcome.workloads[1].served.samples()[5], 2.0);
-        assert_eq!(outcome.workloads[1].unmet.samples()[5], 2.0);
+        // 2 remain, so 2 of its demand 4 is served and 2 shed.
+        let (a, b) = (s.apps()[0], s.apps()[1]);
+        assert_eq!(a.grant, 8.0);
+        assert_eq!((b.grant, b.served, b.shed), (2.0, 2.0, 2.0));
+        assert_eq!(s.contended(), &[true]);
+        assert_eq!(s.cos1_scaled(), &[false]);
+        assert_eq!(s.granted(), &[10.0]);
     }
 
     #[test]
     fn cos2_shares_remaining_capacity_proportionally() {
-        let host = Host::new(12.0).unwrap();
-        let a = constant("a", 4.0, 10, policy(0.0, 100.0)); // requests 8
-        let b = constant("b", 2.0, 10, policy(0.0, 100.0)); // requests 4
-        let outcome = host.run(&[a, b], ObsCtx::none()).unwrap();
+        let cos2 = [policy(0.0, 100.0); 2];
         // 12 capacity over requests (8, 4): granted in full (sum == 12).
-        assert_eq!(outcome.workloads[0].granted.samples()[0], 8.0);
-        assert_eq!(outcome.workloads[1].granted.samples()[0], 4.0);
-
-        let host = Host::new(6.0).unwrap();
-        let a = constant("a", 4.0, 10, policy(0.0, 100.0));
-        let b = constant("b", 2.0, 10, policy(0.0, 100.0));
-        let outcome = host.run(&[a, b], ObsCtx::none()).unwrap();
+        let mut s = one_server(12.0, 2, 0);
+        s.step(0, &[4.0, 2.0], &cos2).unwrap();
+        assert_eq!((s.apps()[0].grant, s.apps()[1].grant), (8.0, 4.0));
+        assert_eq!(s.contended(), &[false]);
         // Now only 6 for requests (8, 4): proportional scale 0.5.
-        assert_eq!(outcome.workloads[0].granted.samples()[0], 4.0);
-        assert_eq!(outcome.workloads[1].granted.samples()[0], 2.0);
+        let mut s = one_server(6.0, 2, 0);
+        s.step(0, &[4.0, 2.0], &cos2).unwrap();
+        assert_eq!((s.apps()[0].grant, s.apps()[1].grant), (4.0, 2.0));
     }
 
     #[test]
     fn pathological_cos1_overflow_scales_proportionally() {
-        let host = Host::new(8.0).unwrap();
-        let a = constant("a", 8.0, 5, policy(100.0, 100.0)); // 16 CoS1
-        let outcome = host.run(&[a], ObsCtx::none()).unwrap();
-        assert_eq!(outcome.workloads[0].granted.samples()[0], 8.0);
-        assert!(outcome.contended_slots > 0);
+        let mut s = one_server(8.0, 1, 0);
+        s.step(0, &[8.0], &[policy(100.0, 100.0)]).unwrap(); // 16 CoS1
+        assert_eq!(s.apps()[0].grant, 8.0);
+        assert_eq!(s.contended(), &[true]);
+        assert_eq!(s.cos1_scaled(), &[true]);
     }
 
     #[test]
     fn total_granted_never_exceeds_capacity() {
-        let host = Host::new(10.0).unwrap();
-        let ws: Vec<HostedWorkload> = (0..5)
-            .map(|i| constant(&format!("w{i}"), 3.0, 30, policy(1.0, 100.0)))
-            .collect();
-        let outcome = host.run(&ws, ObsCtx::none()).unwrap();
-        for &g in outcome.total_granted.samples() {
-            assert!(g <= 10.0 + 1e-9, "granted {g}");
+        let mut s = one_server(10.0, 5, 0);
+        let policies = [policy(1.0, 100.0); 5];
+        for slot in 0..30 {
+            let d = 1.0 + (slot % 7) as f64 * 0.5;
+            s.step(slot, &[d; 5], &policies).unwrap();
+            assert!(s.granted()[0] <= 10.0 + 1e-9, "granted {}", s.granted()[0]);
         }
     }
 
     #[test]
-    fn observed_run_counts_drops_and_fills_saturation_histogram() {
-        let obs = Obs::deterministic();
-        let host = Host::new(10.0).unwrap();
-        // A saturates CoS1 in full; B's CoS2 request is cut to 2 of 8,
-        // leaving 2 of its 4 demand unmet every slot.
-        let a = constant("a", 4.0, 20, policy(100.0, 100.0));
-        let b = constant("b", 4.0, 20, policy(0.0, 100.0));
-        let outcome = host.run(&[a, b], ObsCtx::from(&obs)).unwrap();
-        assert!(outcome.contended_slots > 0);
-        let report = obs.report();
-        assert_eq!(report.counter("wlm.host.unmet_slots"), 20);
-        assert_eq!(report.counter("wlm.host.cos1_scaled_slots"), 0);
-        let hist = report.histogram("wlm.host.saturation").unwrap();
-        assert_eq!(hist.total, 20);
-        // Every slot grants the full 10.0: saturation 1.0, the last
-        // bounded bucket.
-        assert_eq!(hist.counts, vec![0, 0, 0, 0, 20, 0]);
-
-        // The pathological CoS1 overflow counts as a scaled slot.
-        let scaled = Obs::deterministic();
-        let c = constant("c", 8.0, 5, policy(100.0, 100.0));
-        host.run(&[c], ObsCtx::from(&scaled)).unwrap();
-        assert_eq!(scaled.report().counter("wlm.host.cos1_scaled_slots"), 5);
-    }
-
-    #[test]
     fn windowed_member_requests_nothing_outside_its_residency() {
-        let host = Host::new(16.0).unwrap();
-        let w = constant("a", 2.0, 10, policy(1.0, 100.0)).with_window(3, 7);
-        let outcome = host.run(&[w], ObsCtx::none()).unwrap();
-        let o = &outcome.workloads[0];
+        // App 0 runs on server 1 during slots 3..7 and nowhere else.
+        let mut s = SlotScheduler::new(16.0, 1, 0).unwrap();
         for slot in 0..10 {
-            let g = o.granted.samples()[slot];
-            if (3..7).contains(&slot) {
-                assert!(g > 0.0, "slot {slot} inside the window grants");
+            let on = (3..7).contains(&slot);
+            if slot == 3 || slot == 7 {
+                s.set_views(&[on.then_some(1)], &[]);
+            }
+            s.step(slot, &[2.0], &[policy(1.0, 100.0)]).unwrap();
+            let a = s.apps()[0];
+            if on {
+                assert_eq!((a.grant, a.served), (4.0, 2.0), "slot {slot}");
             } else {
-                assert_eq!(g, 0.0, "slot {slot} outside the window");
-                assert_eq!(o.utilization.samples()[slot], 0.0);
+                assert_eq!((a.grant, a.served, a.utilization), (0.0, 0.0, 0.0));
+                assert_eq!(a.shed, 2.0, "slot {slot}: nowhere to run");
             }
         }
     }
 
     #[test]
-    fn empty_reservations_are_exactly_run() {
-        let host = Host::new(10.0).unwrap();
-        let ws = vec![
-            constant("a", 4.0, 20, policy(100.0, 100.0)),
-            constant("b", 4.0, 20, policy(0.0, 100.0)),
-        ];
-        let plain = host.run(&ws, ObsCtx::none()).unwrap();
-        let with = host
-            .run_with_reservations(&ws, &[], ObsCtx::none())
-            .unwrap();
-        assert_eq!(plain, with);
+    fn reservations_squeeze_grants_without_outcomes() {
+        // App 0 (requests 8 CoS2) serves on server 0; app 1 (requests 4)
+        // serves on server 1 while migrating to server 0.
+        let policies = [policy(0.0, 100.0); 2];
+        let mut s = SlotScheduler::new(6.0, 2, 0).unwrap();
+        s.set_views(&[Some(0), Some(1)], &[(1, 0)]);
+        s.step(0, &[4.0, 2.0], &policies).unwrap();
+        // 6 capacity over CoS2 requests (8 member + 4 reserved): the
+        // member's share is 8 * 6/12 = 4, as if the reservation were a
+        // co-located member, but server 0 grants app 1 nothing.
+        assert_eq!(s.apps()[0].grant, 4.0);
+        assert_eq!(s.granted(), &[4.0, 4.0]);
+        assert_eq!(s.contended(), &[true, false]);
     }
 
     #[test]
-    fn reservations_squeeze_grants_without_outcomes() {
-        let host = Host::new(6.0).unwrap();
-        let a = constant("a", 4.0, 10, policy(0.0, 100.0)); // requests 8
-        let r = constant("mig", 2.0, 10, policy(0.0, 100.0)); // requests 4
-        let outcome = host
-            .run_with_reservations(std::slice::from_ref(&a), &[r], ObsCtx::none())
-            .unwrap();
-        // 6 capacity over CoS2 requests (8 member + 4 reserved): the
-        // member's share is 8 * 6/12 = 4, as if the reservation were a
-        // co-located member — but no outcome is emitted for it.
-        assert_eq!(outcome.workloads.len(), 1);
-        assert_eq!(outcome.workloads[0].granted.samples()[0], 4.0);
-        assert_eq!(outcome.total_granted.samples()[0], 4.0);
-        assert!(outcome.contended_slots > 0);
+    fn empty_reservations_are_exactly_run() {
+        // Once its reservation list empties, a scheduler grants exactly
+        // what one that never saw a reservation grants.
+        let policies = [policy(0.0, 100.0); 2];
+        let mut s = SlotScheduler::new(6.0, 2, 0).unwrap();
+        s.set_views(&[Some(0), Some(1)], &[(1, 0)]);
+        s.step(0, &[4.0, 2.0], &policies).unwrap();
+        s.set_views(&[Some(0), Some(1)], &[]);
+        s.step(1, &[4.0, 2.0], &policies).unwrap();
+        let mut plain = SlotScheduler::new(6.0, 2, 0).unwrap();
+        plain.set_views(&[Some(0), Some(1)], &[]);
+        plain.step(1, &[4.0, 2.0], &policies).unwrap();
+        assert_eq!(s.apps(), plain.apps());
+        assert_eq!(
+            (s.granted(), s.contended()),
+            (plain.granted(), plain.contended())
+        );
+        assert_eq!(s.apps()[0].grant, 6.0);
+    }
 
-        // A windowed reservation only squeezes inside its window.
-        let r = constant("mig", 2.0, 10, policy(0.0, 100.0)).with_window(0, 5);
-        let outcome = host
-            .run_with_reservations(&[a], &[r], ObsCtx::none())
-            .unwrap();
-        assert_eq!(outcome.workloads[0].granted.samples()[0], 4.0);
-        assert_eq!(outcome.workloads[0].granted.samples()[5], 6.0);
+    #[test]
+    fn deferred_work_drains_oldest_first_and_expires_at_its_deadline() {
+        // 3 CPUs for a request of 8: 1 of the demand of 4 is deferred.
+        let p = [policy(0.0, 100.0)];
+        let mut s = one_server(3.0, 1, 2);
+        s.step(0, &[4.0], &p).unwrap();
+        let a = s.apps()[0];
+        assert!(a.deferred && !a.recovering);
+        assert_eq!((a.served, a.shed, a.backlog), (3.0, 0.0, 1.0));
+        // A quiet slot drains the backlog with the grant left over: the
+        // deferred CPU rides along as extra CoS2 and is granted in full.
+        s.step(1, &[0.5], &p).unwrap();
+        let a = s.apps()[0];
+        assert!(a.recovering && !a.deferred);
+        assert_eq!((a.served, a.late, a.backlog), (0.5, 1.0, 0.0));
+        assert_eq!(a.utilization, 0.5, "draining is not charged");
+        // Overloaded slots from slot 2 on each defer what they cannot
+        // serve and leave nothing over to drain, so slot 2's deferred
+        // CPU waits out its 2-slot deadline and is shed at slot 4.
+        for slot in 2..4 {
+            s.step(slot, &[4.0], &p).unwrap();
+            assert_eq!(s.apps()[0].shed, 0.0);
+        }
+        s.step(4, &[4.0], &p).unwrap();
+        let a = s.apps()[0];
+        assert_eq!(a.shed, 1.0);
+        assert!((a.backlog - 2.0).abs() < 1e-9, "backlog {}", a.backlog);
     }
 
     #[test]
     fn misaligned_and_empty_inputs_rejected() {
-        let host = Host::new(10.0).unwrap();
-        assert!(matches!(
-            host.run(&[], ObsCtx::none()),
-            Err(WlmError::Trace(TraceError::Empty))
-        ));
-        let a = constant("a", 1.0, 10, policy(0.0, 10.0));
-        let b = constant("b", 1.0, 20, policy(0.0, 10.0));
-        assert!(matches!(
-            host.run(&[a, b], ObsCtx::none()),
-            Err(WlmError::Trace(TraceError::Misaligned { .. }))
-        ));
+        let mut s = one_server(10.0, 2, 0);
+        let p = policy(0.0, 10.0);
+        let cases = [
+            (&[1.0][..], &[p, p][..]),
+            (&[1.0, 1.0][..], &[p][..]),
+            (&[][..], &[][..]),
+        ];
+        for (demand, policies) in cases {
+            assert!(matches!(
+                s.step(0, demand, policies),
+                Err(WlmError::Trace(TraceError::Misaligned { .. }))
+            ));
+        }
     }
 
     #[test]
@@ -528,13 +518,13 @@ mod tests {
         // the process); it must surface as a typed, matchable error so
         // replay paths can diagnose a misconfigured pool.
         for bad in [0.0, -4.0, f64::NAN, f64::INFINITY] {
-            match Host::new(bad) {
+            match SlotScheduler::new(bad, 1, 0) {
                 Err(WlmError::InvalidCapacity { capacity }) => {
                     assert!(capacity.is_nan() || capacity == bad);
                 }
                 other => panic!("capacity {bad} must be rejected, got {other:?}"),
             }
         }
-        assert!(Host::new(1e-6).is_ok());
+        assert!(SlotScheduler::new(1e-6, 1, 0).is_ok());
     }
 }

@@ -7,11 +7,12 @@
 //! Those products are proprietary, so this crate simulates their documented
 //! semantics at trace granularity:
 //!
-//! * [`manager`] — the per-workload allocation control loop (burst factor,
-//!   EWMA demand estimate, min/max allocation clamps, per-CoS split);
-//! * [`host`] — a host scheduler that grants CoS1 requests first and
-//!   shares the remaining capacity across CoS2 requests, producing
-//!   delivered-allocation and served-demand traces;
+//! * [`manager`] — the per-workload allocation rule (burst factor times
+//!   the last interval's demand, capped, split across the two CoS);
+//! * [`host`] — the two-priority slot scheduler: each server grants CoS1
+//!   requests first and shares the remaining capacity across CoS2
+//!   requests, over serving and reservation views that may change from
+//!   slot to slot, deferring or shedding what it cannot serve;
 //! * [`metrics`] — the utilization-of-allocation audit that checks the
 //!   delivered QoS against an [`AppQos`](ropus_qos::AppQos) requirement,
 //!   closing the loop on the translation's promise.
@@ -23,7 +24,7 @@
 //! use ropus_qos::{AppQos, CosSpec};
 //! use ropus_qos::translation::translate;
 //! use ropus_trace::{Calendar, Trace};
-//! use ropus_wlm::host::{Host, HostedWorkload};
+//! use ropus_wlm::host::SlotScheduler;
 //! use ropus_wlm::manager::WlmPolicy;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,9 +34,13 @@
 //! let cos2 = CosSpec::new(0.9, 60)?;
 //! let translation = translate(&demand, &qos, &cos2, ObsCtx::none())?;
 //! let policy = WlmPolicy::from_translation(&qos, &translation.report);
-//! let host = Host::new(16.0)?;
-//! let outcome = host.run(&[HostedWorkload::new("app", demand, policy)], ObsCtx::none())?;
-//! assert!(outcome.workloads[0].served.peak() > 0.0);
+//! // One application on server 0 of 16 CPUs; shortfalls are shed at once.
+//! let mut scheduler = SlotScheduler::new(16.0, 1, 0)?;
+//! scheduler.set_views(&[Some(0)], &[]);
+//! for (slot, &d) in demand.samples().iter().enumerate() {
+//!     scheduler.step(slot, &[d], &[policy])?;
+//!     assert_eq!(scheduler.apps()[0].served, d);
+//! }
 //! # Ok(())
 //! # }
 //! ```

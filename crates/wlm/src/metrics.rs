@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ropus_obs::{ObsCtx, SloContract, SloEngine};
+use ropus_obs::SloContract;
 use ropus_qos::AppQos;
 use ropus_trace::runs::{longest_run, runs_where};
 use ropus_trace::Trace;
@@ -106,24 +106,6 @@ pub fn utilization_of_allocation(served: f64, granted: f64) -> f64 {
         served.min(granted) / granted
     } else {
         0.0
-    }
-}
-
-/// Streams a replayed utilization-of-allocation trace into the SLO
-/// engine, one observation per slot starting at `start_slot`.
-///
-/// This is the bridge from [`crate::host::WorkloadOutcome::utilization`]
-/// (and any other audited utilization series) to the attainment /
-/// burn-rate layer; call it from serial code only, in fleet order.
-pub fn observe_utilization(
-    engine: &mut SloEngine,
-    app: usize,
-    utilization: &Trace,
-    start_slot: usize,
-    obs: ObsCtx<'_>,
-) {
-    for (t, u) in utilization.samples().iter().enumerate() {
-        engine.observe(app, start_slot + t, *u, obs);
     }
 }
 
@@ -350,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_utilization_agrees_with_the_audit_on_degraded_slots() {
+    fn streamed_attainment_agrees_with_the_audit_on_degraded_slots() {
         use ropus_obs::{BurnRateRule, SloEngine};
 
         let mut samples = vec![0.6; 100];
@@ -363,7 +345,9 @@ mod tests {
 
         let mut engine = SloEngine::new(BurnRateRule::default_rules());
         let app = engine.register(slo_contract("app", &qos, 5));
-        observe_utilization(&mut engine, app, &u, 0, ropus_obs::ObsCtx::none());
+        for (t, &v) in u.samples().iter().enumerate() {
+            engine.observe(app, t, v, ropus_obs::ObsCtx::none());
+        }
         let attainment = &engine.attainment()[0];
         assert_eq!(attainment.samples, 100);
         assert_eq!(

@@ -245,7 +245,10 @@ fn det_sinks(file: &FileData) -> Vec<Sink> {
 fn is_det_entry(path: &str, item: &crate::symbols::FnItem) -> bool {
     matches!(
         item.qual.as_deref(),
-        Some("FitEngine") | Some("EngineSession") | Some("MigrationOrchestrator")
+        Some("FitEngine")
+            | Some("EngineSession")
+            | Some("MigrationOrchestrator")
+            | Some("SlotScheduler")
     ) || (path.starts_with("crates/chaos/src/") && item.name.starts_with("replay"))
         || (path.starts_with("crates/qos/src/") && item.name.starts_with("translate"))
         || path.starts_with("crates/trace/src/kernels.rs")

@@ -249,7 +249,7 @@ pub fn registry() -> Vec<Rule> {
             family: Family::Determinism,
             summary: "nondeterminism sink reachable from a deterministic pipeline \
                       entry point (FitEngine / EngineSession / chaos replay / \
-                      translate): the planning pipeline must stay a pure function \
+                      translate / slot scheduler): the planning pipeline must stay a pure function \
                       of its inputs",
             hint: "route the call chain through the obs clock facade or the seeded \
                    rng facade, or break the edge; justify a provably inert sink \
@@ -614,8 +614,8 @@ pub(crate) fn match_result_discard(line: &str) -> Option<usize> {
 /// against `"` works even though string *contents* are blanked. A call
 /// whose arguments wrap to the next line is out of reach for a line
 /// matcher and is left alone (mirroring `match_slice_index`).
-/// `ObsReport` lookups and `WorkloadManager::observe` deliberately do not
-/// share these method names, so they never fire here.
+/// `ObsReport` lookups deliberately do not share these method names, so
+/// they never fire here.
 ///
 /// A SCREAMING_SNAKE constant path (`names::QOS_TRANSLATIONS`) is also
 /// accepted: it is still a static name, and the `obs-name-registry` rule

@@ -187,6 +187,27 @@ fn fleet_generator_and_fan_out_are_deterministic_entry_points() {
 }
 
 #[test]
+fn slot_scheduler_is_a_deterministic_entry_point() {
+    // The one two-priority scheduler feeds every replay's report, so a
+    // thread-identity branch reachable from its methods is a finding; the
+    // same method on another type in the same file is not.
+    let taint = |ty: &str| {
+        let source = format!(
+            "pub struct {ty};\n\nimpl {ty} {{\n    pub fn step(&self) -> usize {{\n        format!(\"{{:?}}\", std::thread::current().id()).len()\n    }}\n}}\n"
+        );
+        let file = SourceFile {
+            path: "crates/wlm/src/host.rs".into(),
+            source,
+        };
+        lint_files(&[file], &Config::default())
+            .iter()
+            .any(|d| d.rule == "det-taint")
+    };
+    assert!(taint("SlotScheduler"));
+    assert!(!taint("Ledger"));
+}
+
+#[test]
 fn clock_facade_is_exempt_from_the_wall_clock_rule() {
     let bad = include_str!("fixtures/det-wall-clock/bad.rs");
     let diagnostics = lint_source("crates/obs/src/clock.rs", bad, &Config::default());
