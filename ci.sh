@@ -87,10 +87,17 @@ cargo run --release -q -p ropus-cli -- obs-report --file "$OBS_TMP/obs.json" \
 
 echo "==> serve smoke"
 # Drive a scripted admit/tick/depart session through the daemon twice —
-# serially and on four refresh threads — and require byte-identical
-# responses: the online plan must be a pure function of the command
-# stream, never of scheduling.
-SERVE_SCRIPT='{"cmd":"admit","name":"web","level":3.0}
+# serially and on four refresh and probe threads — and require
+# byte-identical responses: the online plan must be a pure function of
+# the command stream, never of scheduling. The five `api` admits each
+# fill most of a server, so later admissions probe six or more servers
+# and the probe fan-out splits across workers.
+SERVE_SCRIPT='{"cmd":"admit","name":"api0","level":6.0}
+{"cmd":"admit","name":"api1","level":6.0}
+{"cmd":"admit","name":"api2","level":6.0}
+{"cmd":"admit","name":"api3","level":6.0}
+{"cmd":"admit","name":"api4","level":6.0}
+{"cmd":"admit","name":"web","level":3.0}
 {"cmd":"admit","name":"db","level":5.0}
 {"cmd":"tick"}
 {"cmd":"admit","name":"batch","level":4.0}
@@ -106,6 +113,8 @@ diff "$OBS_TMP/serve-1.jsonl" "$OBS_TMP/serve-4.jsonl" \
     || { echo "serve responses differ across --threads"; exit 1; }
 grep -q '"decision":"accepted"' "$OBS_TMP/serve-1.jsonl" \
     || { echo "serve smoke admitted nothing"; exit 1; }
+grep -q '"server":5' "$OBS_TMP/serve-1.jsonl" \
+    || { echo "serve smoke opened fewer than six servers"; exit 1; }
 grep -q '"plan"' "$OBS_TMP/serve-1.jsonl" \
     || { echo "serve snapshot carried no plan"; exit 1; }
 grep -q '"stats"' "$OBS_TMP/serve-1.jsonl" \

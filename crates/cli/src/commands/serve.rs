@@ -45,8 +45,9 @@ OPTIONS:
     --admission <NAME>    admission policy: 'best-fit' (default) or
                           'first-fit'
     --weeks <N>           horizon for level-style demands (default 1)
-    --threads <N>         refresh worker threads (default 1; results are
-                          identical regardless of thread count)
+    --threads <N>         refresh and admission-probe worker threads
+                          (default 1; results are identical regardless of
+                          thread count)
     --max-servers <N>     pool size cap (default unbounded)
     --queue-deadline <N>  ticks a queued admission survives (default 12;
                           0 rejects instead of queueing)

@@ -70,7 +70,8 @@ pub struct DaemonConfig {
     pub weeks: usize,
     /// Required-capacity binary-search tolerance, in capacity units.
     pub tolerance: f64,
-    /// Worker threads for delta refreshes (never changes any result).
+    /// Worker threads for delta refreshes and admission probes (never
+    /// changes any result).
     pub threads: usize,
     /// Ticks a queued admission survives before expiring; 0 disables the
     /// queue (every `Queue` verdict becomes a rejection).
@@ -91,7 +92,8 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// A config with the paper's defaults: one-week horizon, 0.05
-    /// tolerance, serial refresh, 12-tick queue deadline, unbounded pool.
+    /// tolerance, serial refresh and probes, 12-tick queue deadline,
+    /// unbounded pool.
     pub fn new(
         server: ServerSpec,
         commitments: PoolCommitments,
@@ -311,16 +313,21 @@ impl Daemon {
 
     /// Probes every touched server and asks the policy for a verdict.
     /// Returns the probes too so callers can answer "what would the
-    /// target require?" without forcing a refresh.
-    fn decide(&self, workload: &Workload) -> Result<(AdmissionDecision, Vec<ServerProbe>), String> {
-        let mut probes = Vec::with_capacity(self.session.server_count());
-        for server in 0..self.session.server_count() {
-            let required = self
-                .session
-                .probe(workload, server)
-                .map_err(|e| e.to_string())?;
-            probes.push(ServerProbe { server, required });
-        }
+    /// target require?" without forcing a refresh; an accepted fresh
+    /// server's probe is appended, so it is searched once.
+    fn decide(
+        &self,
+        workload: &Workload,
+        obs: ObsCtx<'_>,
+    ) -> Result<(AdmissionDecision, Vec<ServerProbe>), String> {
+        let mut probes: Vec<ServerProbe> = self
+            .session
+            .probe_all(workload)
+            .map_err(|e| e.to_string())?
+            .into_iter()
+            .enumerate()
+            .map(|(server, required)| ServerProbe { server, required })
+            .collect();
         let servers_open = (0..self.session.server_count())
             .filter(|&s| !self.session.server_members(s).is_empty())
             .count();
@@ -344,18 +351,20 @@ impl Daemon {
             // fit: a demand that cannot satisfy the commitments alone on
             // an empty server can never be placed, so reject it rather
             // than queueing it forever.
-            if server >= probes.len()
-                && self
+            if server >= probes.len() {
+                let required = self
                     .session
                     .probe(workload, server)
-                    .map_err(|e| e.to_string())?
-                    .is_none()
-            {
-                decision = AdmissionDecision::Reject {
-                    reason: "demand does not fit an empty server".to_string(),
-                };
+                    .map_err(|e| e.to_string())?;
+                probes.push(ServerProbe { server, required });
+                if required.is_none() {
+                    decision = AdmissionDecision::Reject {
+                        reason: "demand does not fit an empty server".to_string(),
+                    };
+                }
             }
         }
+        obs.counter(names::SERVE_ADMIT_PROBES, probes.len() as u64);
         if matches!(decision, AdmissionDecision::Queue) && self.config.queue_deadline_slots == 0 {
             decision = AdmissionDecision::Reject {
                 reason: "no feasible server and queueing is disabled".to_string(),
@@ -375,7 +384,7 @@ impl Daemon {
             Ok(w) => w,
             Err(e) => return Response::error("admit", e),
         };
-        let (decision, probes) = match self.decide(&workload) {
+        let (decision, probes) = match self.decide(&workload, obs) {
             Ok(d) => d,
             Err(e) => return Response::error("admit", e),
         };
@@ -383,14 +392,13 @@ impl Daemon {
         match decision {
             AdmissionDecision::Accept { server } => {
                 // Answer the post-admission requirement from the probe
-                // (recomputing it for a freshly opened server) rather
+                // (`decide` probed a freshly opened server too) rather
                 // than refreshing the whole pool — the deferred batch
                 // recompute stays with `tick`.
                 let required = probes
                     .iter()
                     .find(|p| p.server == server)
-                    .map(|p| p.required)
-                    .unwrap_or_else(|| self.session.probe(&workload, server).ok().flatten());
+                    .and_then(|p| p.required);
                 self.watch_admit(&workload, offered);
                 if let Err(e) = self.session.admit(workload, server) {
                     self.watch.remove(name);
@@ -581,7 +589,7 @@ impl Daemon {
                 }
                 continue;
             }
-            let verdict = match self.decide(&entry.workload) {
+            let verdict = match self.decide(&entry.workload, obs) {
                 Ok((v, _)) => v,
                 // A queued workload can no longer fail validation; treat
                 // a probe error as "still waiting".

@@ -124,6 +124,9 @@ pub const SERVE_ADMIT_ACCEPTED: &str = "serve.admit.accepted";
 pub const SERVE_ADMIT_QUEUED: &str = "serve.admit.queued";
 /// Count of sessions rejected outright.
 pub const SERVE_ADMIT_REJECTED: &str = "serve.admit.rejected";
+/// Count of per-server admission probes (capacity searches with the
+/// candidate added), recorded once per admission decision.
+pub const SERVE_ADMIT_PROBES: &str = "serve.admit.probes";
 /// Count of queued sessions later admitted.
 pub const SERVE_QUEUE_ADMITTED: &str = "serve.queue.admitted";
 /// Count of queued sessions that expired waiting.
@@ -208,6 +211,7 @@ mod tests {
             super::SERVE_ADMIT_ACCEPTED,
             super::SERVE_ADMIT_QUEUED,
             super::SERVE_ADMIT_REJECTED,
+            super::SERVE_ADMIT_PROBES,
             super::SERVE_QUEUE_ADMITTED,
             super::SERVE_QUEUE_EXPIRED,
             super::SERVE_DEPART_COUNT,

@@ -12,7 +12,8 @@
 //! invalidated; [`refresh`](EngineSession::refresh) (or any read that
 //! needs fresh numbers) recomputes exactly the stale set, fanning the
 //! independent per-server binary searches over
-//! [`parallel_map`].
+//! [`parallel_map`]. [`probe_all`](EngineSession::probe_all) answers an
+//! admission's "what would each server require?" on the same fan-out.
 //!
 //! # Determinism
 //!
@@ -162,8 +163,9 @@ impl EngineSession {
         self
     }
 
-    /// Sets the worker-thread count for refreshes; values below 1 are
-    /// clamped to 1 (serial). Thread count never changes any result.
+    /// Sets the worker-thread count for refreshes and
+    /// [`probe_all`](Self::probe_all); values below 1 are clamped to 1
+    /// (serial). Thread count never changes any result.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -618,6 +620,39 @@ impl EngineSession {
     /// validation (duplicate name, misaligned, partial weeks).
     pub fn probe(&self, workload: &Workload, server: usize) -> Result<Option<f64>, PlacementError> {
         self.check_admissible(workload)?;
+        self.probe_validated(workload, server)
+    }
+
+    /// [`probe`](Self::probe) against every server in
+    /// `0..server_count()`, in server order: the candidate is validated
+    /// once, then the independent per-server probes fan out over the
+    /// worker pool. Each probe is a pure function of its server's member
+    /// set and [`parallel_map`] joins in input order, so the result is
+    /// bit-identical to probing the servers one by one, at any thread
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// As for [`probe`](Self::probe); a failing server reports the first
+    /// error in server order.
+    pub fn probe_all(&self, workload: &Workload) -> Result<Vec<Option<f64>>, PlacementError> {
+        self.check_admissible(workload)?;
+        let servers: Vec<usize> = (0..self.servers.len()).collect();
+        parallel_map(self.threads, &servers, |&server| {
+            self.probe_validated(workload, server)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// One probe of an already validated candidate: aggregate the
+    /// server's members and reservations with the candidate, then search
+    /// the required capacity.
+    fn probe_validated(
+        &self,
+        workload: &Workload,
+        server: usize,
+    ) -> Result<Option<f64>, PlacementError> {
         let mut refs: Vec<&Workload> = self
             .server_members(server)
             .iter()
@@ -940,6 +975,54 @@ mod tests {
         assert!(s.probe(&wl("a", 1.0), 0).is_err(), "duplicate name");
         assert_eq!(s.len(), 1);
         assert_eq!(s.server_members(0), &[0]);
+    }
+
+    #[test]
+    fn probe_all_equals_per_server_probes_at_any_thread_count() {
+        let bits = |r: &[Option<f64>]| -> Vec<Option<u64>> {
+            r.iter().map(|p| p.map(f64::to_bits)).collect()
+        };
+        let mut per_thread = Vec::new();
+        for threads in [1, 4] {
+            let mut s = session().with_threads(threads);
+            let fleet = [
+                ("a", 2.0, 0),
+                ("b", 3.0, 0),
+                ("c", 1.0, 0),
+                ("d", 4.0, 1),
+                ("e", 2.5, 1),
+                ("f", 1.0, 2),
+                ("g", 5.0, 3),
+                ("h", 5.0, 3),
+                ("i", 9.0, 4),
+                ("j", 6.0, 4),
+            ];
+            for (name, c2, server) in fleet {
+                s.admit(wl(name, c2), server).unwrap();
+            }
+            // Server 2 is vacated; server 3 carries an in-flight
+            // reservation for `a` on top of its members.
+            s.depart(s.find("f").unwrap()).unwrap();
+            s.begin_migration(s.find("a").unwrap(), 3).unwrap();
+            let candidate = wl("new", 3.0);
+            let all = s.probe_all(&candidate).unwrap();
+            let one_by_one: Vec<Option<f64>> = (0..s.server_count())
+                .map(|server| s.probe(&candidate, server).unwrap())
+                .collect();
+            assert_eq!(all.len(), 5);
+            assert_eq!(bits(&all), bits(&one_by_one), "threads {threads}");
+            assert!(all[2].is_some(), "a vacated server takes the candidate");
+            assert!(all[4].is_none(), "18 > 16 cannot fit");
+            assert!(
+                matches!(
+                    s.probe_all(&wl("b", 1.0)),
+                    Err(PlacementError::DuplicateWorkload { .. })
+                ),
+                "a duplicate name is one error, not one per server"
+            );
+            per_thread.push(bits(&all));
+        }
+        assert_eq!(per_thread[0], per_thread[1]);
     }
 
     #[test]

@@ -234,10 +234,10 @@ proptest! {
     }
 }
 
-/// Drives one command script through a daemon and returns the response
-/// lines.
-fn run_script(script: &str, threads: usize) -> Vec<String> {
-    let config = DaemonConfig {
+/// The scripted daemons' configuration: one-week horizon on the hourly
+/// calendar, `threads` refresh and probe workers.
+fn daemon_config(threads: usize) -> DaemonConfig {
+    DaemonConfig {
         threads,
         weeks: 1,
         ..DaemonConfig::new(
@@ -246,7 +246,16 @@ fn run_script(script: &str, threads: usize) -> Vec<String> {
             AppQos::paper_default(None),
             hourly(),
         )
-    };
+    }
+}
+
+/// Drives one command script through a daemon and returns the response
+/// lines.
+fn run_script(script: &str, threads: usize) -> Vec<String> {
+    run_script_with(script, daemon_config(threads))
+}
+
+fn run_script_with(script: &str, config: DaemonConfig) -> Vec<String> {
     let mut daemon = Daemon::new(config);
     let mut out = Vec::new();
     daemon
@@ -279,6 +288,54 @@ fn daemon_scripts_replay_byte_identically_across_threads() {
         "thread count must never change a response"
     );
     assert!(serial.last().unwrap().contains("\"stats\""));
+}
+
+/// A pool that spreads over five servers and fills its cap: every
+/// admission probes several servers, so the probe fan-out splits across
+/// workers, and a queued admission is retried by a tick once a departure
+/// frees room. One daily-cycle app keeps the probed capacities off round
+/// numbers.
+#[test]
+fn multi_server_script_with_queue_retry_replays_across_threads() {
+    let cycle: Vec<String> = (0..hourly().slots_per_week())
+        .map(|t| format!("{}", 0.5 + (t % 24) as f64 / 16.0))
+        .collect();
+    let script = format!(
+        r#"{{"cmd":"admit","name":"a0","level":5.0}}
+{{"cmd":"admit","name":"a1","level":5.0}}
+{{"cmd":"admit","name":"a2","level":5.0}}
+{{"cmd":"admit","name":"a3","level":5.0}}
+{{"cmd":"admit","name":"a4","level":5.0}}
+{{"cmd":"admit","name":"cyclic","samples":[{}]}}
+{{"cmd":"admit","name":"b0","level":2.0}}
+{{"cmd":"admit","name":"b1","level":2.0}}
+{{"cmd":"tick"}}
+{{"cmd":"admit","name":"late","level":5.0}}
+{{"cmd":"tick"}}
+{{"cmd":"depart","name":"a2"}}
+{{"cmd":"tick"}}
+{{"cmd":"snapshot"}}
+{{"cmd":"shutdown"}}
+"#,
+        cycle.join(",")
+    );
+    let capped = |threads| DaemonConfig {
+        max_servers: Some(5),
+        ..daemon_config(threads)
+    };
+    let serial = run_script_with(&script, capped(1));
+    let text = serial.join("\n");
+    assert!(text.contains(r#""name":"a4","decision":"accepted","server":4"#));
+    assert!(text.contains(r#""name":"late","decision":"queued""#));
+    assert!(text.contains(r#""admitted_from_queue":["late"]"#));
+    assert!(text.contains(r#""servers_used":5"#));
+    for threads in [2, 4] {
+        assert_eq!(
+            serial,
+            run_script_with(&script, capped(threads)),
+            "thread count must never change a response ({threads} threads)"
+        );
+    }
 }
 
 #[test]
@@ -323,17 +380,7 @@ fn daemon_snapshot_matches_cold_session_of_same_assignment() {
 /// Like [`run_script`], but with a deterministic collector attached so
 /// subscribe telemetry (including `watch.stream.delta` lines) flows.
 fn run_script_observed(script: &str, threads: usize) -> Vec<String> {
-    let config = DaemonConfig {
-        threads,
-        weeks: 1,
-        ..DaemonConfig::new(
-            ServerSpec::sixteen_way(),
-            commitments(),
-            AppQos::paper_default(None),
-            hourly(),
-        )
-    };
-    let mut daemon = Daemon::new(config);
+    let mut daemon = Daemon::new(daemon_config(threads));
     let obs = ropus_obs::Obs::deterministic();
     let mut out = Vec::new();
     daemon
