@@ -85,6 +85,22 @@ done
 cargo run --release -q -p ropus-cli -- obs-report --file "$OBS_TMP/obs.json" \
     | grep -q "pipeline.consolidate"
 
+echo "==> plan smoke"
+# A full plan — genetic consolidation plus the failure sweep — on one
+# thread and on four must agree on everything but the engine's wall
+# times, its hit/miss split and its thread count: the search's worker
+# set may change who computes a fit, never a placement bit.
+PLAN_FLAGS=(--traces "$OBS_TMP/traces.csv" --policy "$OBS_TMP/policy.json" --fast --json)
+for threads in 1 4; do
+    cargo run --release -q -p ropus-cli -- plan "${PLAN_FLAGS[@]}" --threads "$threads" \
+        | grep -Ev '"(total_wall_ms|mean_generation_wall_ms|cache_hits|cache_misses|threads)":' \
+        > "$OBS_TMP/plan-$threads.json"
+done
+diff "$OBS_TMP/plan-1.json" "$OBS_TMP/plan-4.json" \
+    || { echo "plan differs across --threads"; exit 1; }
+grep -q '"generations": [1-9]' "$OBS_TMP/plan-1.json" \
+    || { echo "plan smoke ran no genetic search"; exit 1; }
+
 echo "==> serve smoke"
 # Drive a scripted admit/tick/depart session through the daemon twice —
 # serially and on four refresh and probe threads — and require

@@ -21,12 +21,14 @@
 //! all the others (DESIGN.md §5a).
 //!
 //! The engine is `Sync`: each memo table is a [`Mutex`]ed map and the
-//! hit/miss counters are atomics, so whole populations can be scored concurrently
-//! on a scoped worker pool ([`FitEngine::score_assignments`]) with no
-//! `unsafe` and no new dependency. Parallel scoring is *bit-identical* to
-//! the serial path: each evaluation is a pure function of the member set,
-//! so neither thread interleaving nor cache state can change a result —
-//! only the [`EngineStats`] counters are timing-dependent.
+//! hit/miss counters are atomics, so engines sharing a memo can run on
+//! different threads with no `unsafe` and no new dependency. Within one
+//! search, the genetic search's batches ([`crate::ga`]) split the work:
+//! the calling thread looks member sets up in the memo, counts every
+//! lookup and inserts every new fit, while the search's helper threads
+//! only compute the missed fits. Each fit is a pure function of its member
+//! set, so neither thread interleaving nor cache state can change a result,
+//! and the batches count exactly the lookups the serial loop counts.
 
 use std::collections::BTreeMap;
 // lint:allow(det-unordered-collection): the memo tables are lookup-only —
@@ -39,7 +41,6 @@ use ropus_obs::ObsCtx;
 use serde::{Deserialize, Serialize};
 
 use ropus_qos::PoolCommitments;
-use ropus_trace::parallel::parallel_map_init;
 use ropus_trace::Trace;
 
 use crate::score::{assignment_feasible, ScoreModel, ServerOutcome};
@@ -53,10 +54,10 @@ use crate::workload::Workload;
 /// builds, plus the key and bucket vectors every evaluation needs.
 ///
 /// The GA and consolidation score thousands of candidate assignments;
-/// handing each scoring worker one `FitScratch` (see
-/// [`parallel_map_init`]) makes the inner loop allocation-free after
-/// warm-up. Scratch state never influences results — it only recycles
-/// storage — so scoring stays bit-identical across thread counts.
+/// giving each fitting thread one `FitScratch` (the genetic search makes
+/// one per worker of its worker set) makes the inner loop allocation-free
+/// after warm-up. Scratch state never influences results — it only
+/// recycles storage — so scoring stays bit-identical across thread counts.
 #[derive(Debug, Default)]
 pub struct FitScratch {
     arena: SlotArena,
@@ -75,9 +76,16 @@ impl FitScratch {
 /// Runtime statistics of a [`FitEngine`] (and, when attached to a search
 /// outcome, of the search that drove it).
 ///
-/// The counters are timing-dependent under parallel scoring — two workers
-/// racing on the same uncached member set each count a miss — so reports
-/// deliberately exclude this struct from equality comparisons.
+/// Every lookup counts once, as a hit or a miss, on the thread that drives
+/// the search: a search's helper threads only compute fits, and a member
+/// set missed twice in one batch counts one miss and then hits, as in the
+/// serial loop. One search's counters are therefore the same at every
+/// thread count. Engines sharing a memo while they run concurrently (the
+/// distinct cases of
+/// [`Consolidator::consolidate_cases`](crate::consolidate::Consolidator::consolidate_cases))
+/// can still trade hits for misses, depending on which reaches a member set
+/// first, though never their sum, `evaluations`; reports exclude this
+/// struct from equality comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Total memoized fit lookups (cache hits + misses).
@@ -113,7 +121,8 @@ impl EngineStats {
 /// `entries` and `distinct_cases` are deterministic per seed: the member
 /// sets a search looks up do not depend on scheduling, and racing inserts
 /// of one key leave one entry. `hits` and `misses` are the searches'
-/// [`EngineStats`] lookups, timing-dependent under parallel scoring.
+/// [`EngineStats`] lookups; their split is timing-dependent when distinct
+/// cases run concurrently on one memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MemoStats {
     /// Member sets with a memoized fit, over all server classes. The memo
@@ -488,8 +497,10 @@ impl<'a> FitEngine<'a> {
         self
     }
 
-    /// Sets the worker-thread count for population scoring and batched
-    /// binary searches; values below 1 are clamped to 1 (serial).
+    /// Sets the thread count of the genetic search driven on this engine:
+    /// its population scoring and drain-mutation fits fan out over one
+    /// worker set of that many threads, the caller included. Values below
+    /// 1 are clamped to 1 (serial).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -587,25 +598,37 @@ impl<'a> FitEngine<'a> {
         scratch: &mut FitScratch,
     ) -> Option<f64> {
         let table = self.class(server);
-        scratch.ids.clear();
+        self.key_into(members, &mut scratch.ids);
+        if let Some(hit) = lookup(table, &scratch.ids) {
+            saturating_inc(&self.hits);
+            return hit;
+        }
+        saturating_inc(&self.misses);
+        let result = self.compute(server, members, scratch);
+        insert(table, scratch.ids.as_slice().into(), result);
+        result
+    }
+
+    /// The sorted content ids of `members`: their memo key.
+    fn key_into(&self, members: &[u16], ids: &mut Vec<u32>) {
+        ids.clear();
         for &i in members {
             // lint:allow(panic-slice-index): out-of-range member indices
             // are a caller bug, not a recoverable state.
-            scratch.ids.push(self.ids[i as usize]);
+            ids.push(self.ids[i as usize]);
         }
-        scratch.ids.sort_unstable();
-        if let Some(hit) = table
-            .fits
-            .lock()
-            // lint:allow(panic-expect): a poisoned mutex means a scoring
-            // worker already panicked; propagating is the only sound move.
-            .expect("fit memo poisoned")
-            .get(scratch.ids.as_slice())
-        {
-            saturating_inc(&self.hits);
-            return *hit;
-        }
-        saturating_inc(&self.misses);
+        ids.sort_unstable();
+    }
+
+    /// The fit of `members` on server `server`, computed without reading
+    /// or writing the memo — the step a search's helper threads run.
+    pub(crate) fn compute(
+        &self,
+        server: usize,
+        members: &[u16],
+        scratch: &mut FitScratch,
+    ) -> Option<f64> {
+        let spec = self.class(server).spec;
         // The aggregate takes members in index order: with unique names
         // the order cannot matter, and a fleet with a repeated name has
         // its ids in index order, so the key and the aggregate agree.
@@ -616,7 +639,7 @@ impl<'a> FitEngine<'a> {
             .key
             .iter()
             // lint:allow(panic-slice-index): indices were checked against
-            // the id map above.
+            // the id map when the memo key was built.
             .map(|&i| &self.workloads[i as usize])
             .collect();
         let load = AggregateLoad::of_pooled(&refs, &mut scratch.arena)
@@ -626,27 +649,12 @@ impl<'a> FitEngine<'a> {
         let result = FitRequest::new(&load, &self.commitments)
             .with_options(
                 FitOptions::new()
-                    .with_memory_capacity(table.spec.memory_gb())
+                    .with_memory_capacity(spec.memory_gb())
                     .with_tolerance(self.tolerance),
             )
-            .required_capacity(table.spec.capacity());
+            .required_capacity(spec.capacity());
         load.recycle(&mut scratch.arena);
-        table
-            .fits
-            .lock()
-            // lint:allow(panic-expect): see the lock note above.
-            .expect("fit memo poisoned")
-            .insert(scratch.ids.as_slice().into(), result);
         result
-    }
-
-    /// Required capacities for many member sets on server `server`,
-    /// evaluated on the worker pool when the engine has more than one
-    /// thread. Results are in input order regardless of scheduling.
-    pub fn required_many(&self, server: usize, sets: &[Vec<u16>]) -> Vec<Option<f64>> {
-        parallel_map_init(self.threads, sets, FitScratch::new, |scratch, set| {
-            self.server_required_scratch(server, set, scratch)
-        })
     }
 
     /// Per-server outcomes of an assignment over `servers` servers, each
@@ -668,6 +676,32 @@ impl<'a> FitEngine<'a> {
         servers: usize,
         scratch: &mut FitScratch,
     ) -> Vec<ServerOutcome> {
+        let members = self.bucket(assignment, servers, scratch);
+        let outcomes = members
+            .iter()
+            .take(servers)
+            .enumerate()
+            .map(|(srv, set)| {
+                if set.is_empty() {
+                    return ServerOutcome::Unused;
+                }
+                let required = self.server_required_scratch(srv, set, scratch);
+                self.outcome(srv, set.len(), required)
+            })
+            .collect();
+        scratch.buckets = members;
+        outcomes
+    }
+
+    /// The members of each of the first `servers` servers under
+    /// `assignment`, in the scratch's recycled bucket vectors; hand them
+    /// back through `scratch.buckets` when done.
+    fn bucket(
+        &self,
+        assignment: &[usize],
+        servers: usize,
+        scratch: &mut FitScratch,
+    ) -> Vec<Vec<u16>> {
         assert_eq!(
             assignment.len(),
             self.workloads.len(),
@@ -687,27 +721,107 @@ impl<'a> FitEngine<'a> {
             // directly above, and `members` has at least `servers` slots.
             members[srv].push(app as u16);
         }
-        let outcomes = members
-            .iter()
-            .take(servers)
-            .enumerate()
-            .map(|(srv, set)| {
-                if set.is_empty() {
-                    return ServerOutcome::Unused;
-                }
-                match self.server_required_scratch(srv, set, scratch) {
-                    Some(required) => ServerOutcome::Fits {
-                        required,
-                        utilization: required / self.server(srv).capacity(),
-                    },
-                    None => ServerOutcome::Overbooked {
-                        workloads: set.len(),
-                    },
-                }
+        members
+    }
+
+    /// The outcome of a used server with `workloads` members and the given
+    /// required capacity.
+    fn outcome(&self, server: usize, workloads: usize, required: Option<f64>) -> ServerOutcome {
+        match required {
+            Some(required) => ServerOutcome::Fits {
+                required,
+                utilization: required / self.server(server).capacity(),
+            },
+            None => ServerOutcome::Overbooked { workloads },
+        }
+    }
+
+    /// [`outcomes_scratch`](Self::outcomes_scratch) for a batch of
+    /// assignments whose memo misses are fitted by `fit` — a search's
+    /// batch on its worker set.
+    ///
+    /// The calling thread looks every used server's member set up in
+    /// assignment and server order and counts each lookup once: a set
+    /// first missed in this batch counts one miss and becomes one job,
+    /// and every later lookup of it counts a hit, exactly as the serial
+    /// loop counts. `fit` returns the jobs' fits in job order; the calling
+    /// thread alone inserts them into the memo and assembles each
+    /// assignment's outcomes in server order. Results and counters are
+    /// therefore those of [`outcomes_scratch`](Self::outcomes_scratch)
+    /// called on each assignment in turn, whoever computed the fits.
+    pub(crate) fn outcomes_batched<A: AsRef<[usize]>>(
+        &self,
+        assignments: &[A],
+        servers: usize,
+        scratch: &mut FitScratch,
+        fit: impl FnOnce(Vec<FitJob>) -> Vec<Option<f64>>,
+    ) -> Vec<Vec<ServerOutcome>> {
+        /// One server of one assignment: unused, answered by the memo, or
+        /// waiting on a job of this batch (with its member count).
+        enum Slot {
+            Unused,
+            Known(Option<f64>, usize),
+            Pending(usize, usize),
+        }
+        // Per job: its server's memo table and its key.
+        let mut keys: Vec<(&FitTable, Box<[u32]>)> = Vec::new();
+        let mut jobs: Vec<FitJob> = Vec::new();
+        let mut rows: Vec<Vec<Slot>> = Vec::with_capacity(assignments.len());
+        for assignment in assignments {
+            let members = self.bucket(assignment.as_ref(), servers, scratch);
+            let row = members
+                .iter()
+                .take(servers)
+                .enumerate()
+                .map(|(srv, set)| {
+                    if set.is_empty() {
+                        return Slot::Unused;
+                    }
+                    let table = self.class(srv);
+                    self.key_into(set, &mut scratch.ids);
+                    if let Some(hit) = lookup(table, &scratch.ids) {
+                        saturating_inc(&self.hits);
+                        return Slot::Known(hit, set.len());
+                    }
+                    let pending = keys
+                        .iter()
+                        .position(|(t, key)| std::ptr::eq(*t, table) && **key == *scratch.ids);
+                    if let Some(job) = pending {
+                        saturating_inc(&self.hits);
+                        return Slot::Pending(job, set.len());
+                    }
+                    saturating_inc(&self.misses);
+                    keys.push((table, scratch.ids.as_slice().into()));
+                    jobs.push(FitJob {
+                        server: srv,
+                        members: set.clone(),
+                    });
+                    Slot::Pending(jobs.len() - 1, set.len())
+                })
+                .collect();
+            scratch.buckets = members;
+            rows.push(row);
+        }
+        let fits = fit(jobs);
+        for ((table, key), &result) in keys.into_iter().zip(&fits) {
+            insert(table, key, result);
+        }
+        rows.into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .enumerate()
+                    .map(|(srv, slot)| match slot {
+                        Slot::Unused => ServerOutcome::Unused,
+                        Slot::Known(required, workloads) => self.outcome(srv, workloads, required),
+                        Slot::Pending(job, workloads) => {
+                            // lint:allow(panic-slice-index): `fit` returns
+                            // one fit per job, and `job` indexes the jobs.
+                            self.outcome(srv, workloads, fits[job])
+                        }
+                    })
+                    .collect()
             })
-            .collect();
-        scratch.buckets = members;
-        outcomes
+            .collect()
     }
 
     /// Score and feasibility of an assignment; each used server scores
@@ -723,32 +837,48 @@ impl<'a> FitEngine<'a> {
         servers: usize,
         scratch: &mut FitScratch,
     ) -> (f64, bool) {
-        let outcomes = self.outcomes_scratch(assignment, servers, scratch);
+        self.score(&self.outcomes_scratch(assignment, servers, scratch))
+    }
+
+    /// Score and feasibility of per-server outcomes in server order, as
+    /// [`evaluate`](Self::evaluate) sums them.
+    pub(crate) fn score(&self, outcomes: &[ServerOutcome]) -> (f64, bool) {
         let score = outcomes
             .iter()
             .enumerate()
             .map(|(srv, o)| o.value_with(self.score_model, self.server(srv).cpus()))
             .sum();
-        (score, assignment_feasible(&outcomes))
+        (score, assignment_feasible(outcomes))
     }
+}
 
-    /// Scores a whole population, fanning out over the worker pool when
-    /// the engine has more than one thread.
-    ///
-    /// Each evaluation is a pure function of its member sets, so the
-    /// result vector is bit-identical to scoring serially in input order —
-    /// the property that keeps the parallel GA deterministic per seed.
-    /// Every worker carries its own [`FitScratch`], so the population
-    /// loop recycles its aggregate buffers instead of allocating.
-    pub fn score_assignments(
-        &self,
-        assignments: &[Vec<usize>],
-        servers: usize,
-    ) -> Vec<(f64, bool)> {
-        parallel_map_init(self.threads, assignments, FitScratch::new, |scratch, a| {
-            self.evaluate_scratch(a, servers, scratch)
-        })
-    }
+/// One uncached fit of a search's batch: a server and its members.
+#[derive(Debug)]
+pub(crate) struct FitJob {
+    pub(crate) server: usize,
+    pub(crate) members: Vec<u16>,
+}
+
+/// The memoized fit of a key in `table`, if any.
+fn lookup(table: &FitTable, ids: &[u32]) -> Option<Option<f64>> {
+    table
+        .fits
+        .lock()
+        // lint:allow(panic-expect): a poisoned mutex means a fitting thread
+        // already panicked; propagating is the only sound move.
+        .expect("fit memo poisoned")
+        .get(ids)
+        .copied()
+}
+
+/// Memoizes a fit in `table`.
+fn insert(table: &FitTable, key: Box<[u32]>, fit: Option<f64>) {
+    table
+        .fits
+        .lock()
+        // lint:allow(panic-expect): see `lookup`.
+        .expect("fit memo poisoned")
+        .insert(key, fit);
 }
 
 /// Increments an atomic counter, pinning it at `u64::MAX` instead of
@@ -960,32 +1090,6 @@ mod tests {
             homogeneous.server_required(999, &[0]),
             engine.server_required(1, &[0])
         );
-    }
-
-    #[test]
-    fn parallel_scoring_matches_serial_bitwise() {
-        let fleet = constant_fleet(&[2.0, 3.0, 4.0, 5.0, 1.0, 6.0]);
-        let population: Vec<Vec<usize>> = (0..8)
-            .map(|k| (0..fleet.len()).map(|i| (i + k) % 3).collect())
-            .collect();
-        let serial = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05);
-        let parallel = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05)
-            .with_threads(4);
-        let s = serial.score_assignments(&population, 3);
-        let p = parallel.score_assignments(&population, 3);
-        assert_eq!(s, p);
-        assert_eq!(parallel.threads(), 4);
-    }
-
-    #[test]
-    fn required_many_preserves_input_order() {
-        let fleet = constant_fleet(&[2.0, 3.0, 4.0]);
-        let engine = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05)
-            .with_threads(3);
-        let sets = vec![vec![0u16], vec![1], vec![2], vec![0, 1, 2]];
-        let batched = engine.required_many(0, &sets);
-        let single: Vec<Option<f64>> = sets.iter().map(|s| engine.server_required(0, s)).collect();
-        assert_eq!(batched, single);
     }
 
     #[test]

@@ -11,18 +11,22 @@
 //!
 //! Per-server fit evaluations dominate the cost, so the search runs on a
 //! [`FitEngine`], which memoizes required-capacity results by workload set
-//! (the same server contents recur constantly across a run) and scores
-//! whole populations on a scoped worker pool when configured with more
-//! than one thread — bit-identically to the serial path, since each
-//! evaluation is a pure function of its member sets.
+//! (the same server contents recur constantly across a run). On an engine
+//! with more than one thread, the search opens one worker set for its
+//! whole run ([`with_workers`]) and feeds it two kinds of batch: each
+//! population-scoring round, and each drain mutation's per-server fits.
+//! The calling thread looks fits up, inserts them and consumes the RNG;
+//! the helpers only compute missed fits. Every fit is a pure function of
+//! its member set, so the search is bit-identical to the serial loop.
 
 use serde::{Deserialize, Serialize};
 
 use ropus_obs::{Clock, WallClock};
 
+use ropus_trace::parallel::{with_workers, Workers};
 use ropus_trace::rng::Rng;
 
-use crate::engine::{EngineStats, FitEngine};
+use crate::engine::{EngineStats, FitEngine, FitJob, FitScratch};
 use crate::score::ServerOutcome;
 use crate::PlacementError;
 
@@ -43,8 +47,10 @@ pub struct GaOptions {
     pub capacity_tolerance: f64,
     /// PRNG seed; runs are deterministic per seed.
     pub seed: u64,
-    /// Worker threads for population scoring (1 = serial). Parallel runs
-    /// are bit-identical to serial runs under the same seed.
+    /// Worker threads of the search, the calling thread included (1 =
+    /// serial): population scoring and the drain mutation's per-server
+    /// fits fan out over them. Parallel runs are bit-identical to serial
+    /// runs under the same seed.
     #[serde(default = "default_threads")]
     pub threads: usize,
 }
@@ -138,6 +144,10 @@ pub struct GaOutcome {
 /// feasible seed, so seeding with greedy solutions makes the GA dominate
 /// them by construction.
 ///
+/// The search runs on the engine's [`threads`](FitEngine::threads): one
+/// keeps the serial loop on the calling thread; more open one worker set
+/// of that many threads (the caller included) for the whole search.
+///
 /// # Errors
 ///
 /// Returns [`PlacementError::Infeasible`] when no feasible assignment was
@@ -157,6 +167,33 @@ pub fn optimize(
         !seeds.is_empty() && seeds.iter().all(|s| !s.is_empty()),
         "seeds must be non-empty"
     );
+    let threads = evaluator.threads();
+    if threads <= 1 {
+        let mut fits = Fits::Serial(FitScratch::new());
+        return search(evaluator, seeds, servers, options, &mut fits);
+    }
+    with_workers(
+        threads,
+        FitScratch::new,
+        |scratch, job: FitJob| evaluator.compute(job.server, &job.members, scratch),
+        |workers| {
+            let mut fits = Fits::Batched {
+                scratch: FitScratch::new(),
+                workers,
+            };
+            search(evaluator, seeds, servers, options, &mut fits)
+        },
+    )
+}
+
+/// The search itself, drawing its fits from `fits`.
+fn search(
+    evaluator: &FitEngine<'_>,
+    seeds: &[Vec<usize>],
+    servers: usize,
+    options: &GaOptions,
+    fits: &mut Fits<'_, '_>,
+) -> Result<GaOutcome, PlacementError> {
     // Wall time feeds only the EngineStats telemetry (elapsed duration),
     // never a score or a placement decision, so the sanctioned obs clock
     // is the right source.
@@ -182,7 +219,7 @@ pub fn optimize(
         population.push(variant);
     }
 
-    let mut scored = score_population(evaluator, population, servers);
+    let mut scored = score_population(evaluator, fits, population, servers);
 
     let mut best: Option<(Vec<usize>, f64)> = None;
     let mut stagnation = 0usize;
@@ -204,7 +241,7 @@ pub fn optimize(
             let b = tournament(&scored, &mut rng);
             let mut child = crossover(a, b, &mut rng);
             if rng.bernoulli(options.drain_mutation_probability) {
-                drain_mutation(&mut child, servers, evaluator, &mut rng);
+                drain_mutation(&mut child, servers, evaluator, fits, &mut rng);
             }
             mutate_genes(
                 &mut child,
@@ -215,7 +252,7 @@ pub fn optimize(
             next.push(child);
         }
 
-        scored = score_population(evaluator, next, servers);
+        scored = score_population(evaluator, fits, next, servers);
 
         if update_best(&mut best, &scored) {
             stagnation = 0;
@@ -253,14 +290,64 @@ pub fn optimize(
     }
 }
 
-/// Scores a population through the engine's (possibly parallel) scoring
-/// path, pairing each assignment with its score and feasibility.
+/// Where a search's fits come from: the serial loop on the calling
+/// thread, or batches on the search's worker set, whose helpers compute
+/// the misses while the calling thread looks up, inserts and assembles.
+enum Fits<'a, 'w> {
+    Serial(FitScratch),
+    Batched {
+        scratch: FitScratch,
+        workers: &'a mut Workers<'w, FitJob, FitScratch, Option<f64>>,
+    },
+}
+
+impl Fits<'_, '_> {
+    /// Score and feasibility of each assignment, in order.
+    fn scores(
+        &mut self,
+        evaluator: &FitEngine<'_>,
+        population: &[Vec<usize>],
+        servers: usize,
+    ) -> Vec<(f64, bool)> {
+        match self {
+            Fits::Serial(scratch) => population
+                .iter()
+                .map(|a| evaluator.evaluate_scratch(a, servers, scratch))
+                .collect(),
+            Fits::Batched { scratch, workers } => evaluator
+                .outcomes_batched(population, servers, scratch, |jobs| workers.map(jobs))
+                .iter()
+                .map(|outcomes| evaluator.score(outcomes))
+                .collect(),
+        }
+    }
+
+    /// Per-server outcomes of one assignment.
+    fn outcomes(
+        &mut self,
+        evaluator: &FitEngine<'_>,
+        assignment: &[usize],
+        servers: usize,
+    ) -> Vec<ServerOutcome> {
+        match self {
+            Fits::Serial(scratch) => evaluator.outcomes_scratch(assignment, servers, scratch),
+            Fits::Batched { scratch, workers } => evaluator
+                .outcomes_batched(&[assignment], servers, scratch, |jobs| workers.map(jobs))
+                .pop()
+                .unwrap_or_default(),
+        }
+    }
+}
+
+/// Scores a population, pairing each assignment with its score and
+/// feasibility.
 fn score_population(
     evaluator: &FitEngine<'_>,
+    fits: &mut Fits<'_, '_>,
     population: Vec<Vec<usize>>,
     servers: usize,
 ) -> Vec<(Vec<usize>, f64, bool)> {
-    let scores = evaluator.score_assignments(&population, servers);
+    let scores = fits.scores(evaluator, &population, servers);
     population
         .into_iter()
         .zip(scores)
@@ -324,9 +411,10 @@ fn drain_mutation(
     assignment: &mut [usize],
     servers: usize,
     evaluator: &FitEngine<'_>,
+    fits: &mut Fits<'_, '_>,
     rng: &mut Rng,
 ) {
-    let outcomes = evaluator.outcomes(assignment, servers);
+    let outcomes = fits.outcomes(evaluator, assignment, servers);
     let used: Vec<usize> = (0..servers)
         .filter(|&s| !matches!(outcomes[s], ServerOutcome::Unused))
         .collect();
@@ -451,6 +539,64 @@ mod tests {
         let b = run(11);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.score, b.score);
+    }
+
+    #[test]
+    fn parallel_search_matches_serial_bitwise_with_equal_lookup_counts() {
+        let fleet = constant_fleet(&[2.0, 3.0, 4.0, 5.0, 1.0, 6.0, 7.0, 2.5, 3.5]);
+        let seeds = [(0..fleet.len()).collect::<Vec<usize>>()];
+        let run = |threads| {
+            let eval = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05)
+                .with_threads(threads);
+            optimize(&eval, &seeds, fleet.len(), &GaOptions::fast(13)).unwrap()
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            let parallel = run(threads);
+            assert_eq!(parallel.assignment, serial.assignment);
+            assert_eq!(parallel.score.to_bits(), serial.score.to_bits());
+            assert_eq!(parallel.generations, serial.generations);
+            // The calling thread counts every lookup, so even the
+            // hit/miss split is the serial loop's.
+            assert_eq!(parallel.evaluations, serial.evaluations);
+            assert_eq!(parallel.stats.cache_hits, serial.stats.cache_hits);
+            assert_eq!(parallel.stats.cache_misses, serial.stats.cache_misses);
+            assert_eq!(parallel.stats.threads, threads);
+        }
+    }
+
+    #[test]
+    fn batched_outcomes_match_serial_outcomes_and_counts() {
+        let fleet = constant_fleet(&[2.0, 3.0, 4.0, 5.0, 1.0, 6.0]);
+        // Repeated member sets inside one batch: each is one miss, then
+        // hits, as in the serial loop.
+        let population: Vec<Vec<usize>> = (0..8)
+            .map(|k| (0..fleet.len()).map(|i| (i + k % 3) % 3).collect())
+            .collect();
+        let serial = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05);
+        let batched = FitEngine::new(&fleet, ServerSpec::sixteen_way(), commitments(1.0), 0.05);
+        let mut scratch = FitScratch::new();
+        let expected: Vec<Vec<ServerOutcome>> = population
+            .iter()
+            .map(|a| serial.outcomes_scratch(a, 3, &mut scratch))
+            .collect();
+        let mut jobs_seen = 0;
+        let got = batched.outcomes_batched(&population, 3, &mut FitScratch::new(), |jobs| {
+            jobs_seen = jobs.len();
+            jobs.iter()
+                .map(|job| batched.compute(job.server, &job.members, &mut FitScratch::new()))
+                .collect()
+        });
+        assert_eq!(got, expected);
+        assert_eq!(jobs_seen, 3, "three distinct member sets");
+        assert_eq!(batched.stats(), serial.stats());
+        // The batch inserted its fits: the next lookups all hit.
+        let again = batched.outcomes_batched(&population, 3, &mut FitScratch::new(), |jobs| {
+            assert!(jobs.is_empty());
+            Vec::new()
+        });
+        assert_eq!(again, expected);
+        assert_eq!(batched.stats().cache_misses, 3);
     }
 
     #[test]
