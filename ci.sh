@@ -85,6 +85,20 @@ done
 cargo run --release -q -p ropus-cli -- obs-report --file "$OBS_TMP/obs.json" \
     | grep -q "pipeline.consolidate"
 
+echo "==> translate smoke"
+# Every translation report field, at full f64 precision, must match the
+# pinned output for the generated fleet in normal mode (T_degr 30) and in
+# failure mode; the fig7/fig8 tables print rounded values only.
+for mode in normal failure; do
+    MODE_FLAG=()
+    [ "$mode" = failure ] && MODE_FLAG=(--failure-mode)
+    cargo run --release -q -p ropus-cli -- translate \
+        --traces "$OBS_TMP/traces.csv" --policy "$OBS_TMP/policy.json" --json "${MODE_FLAG[@]}" \
+        > "$OBS_TMP/translate-$mode.json"
+    diff "$OBS_TMP/translate-$mode.json" "tests/golden/translate_$mode.json" \
+        || { echo "translate --json ($mode) differs from tests/golden/translate_$mode.json"; exit 1; }
+done
+
 echo "==> plan smoke"
 # A full plan — genetic consolidation plus the failure sweep — on one
 # thread and on four must agree on everything but the engine's wall

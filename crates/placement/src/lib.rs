@@ -66,6 +66,8 @@
 
 mod error;
 mod sumtree;
+#[cfg(test)]
+mod tests;
 
 pub mod consolidate;
 pub mod engine;

@@ -147,24 +147,45 @@ impl Workload {
 
     /// Builds a workload from a QoS [`Translation`]: the translated demand
     /// (shared, not copied) and its split. The peaks and the zero-CoS1
-    /// flag come from one streaming pass over the split, folding exactly
-    /// the values explicit class traces would hold, so they are
-    /// bit-identical to [`Workload::new`] over the materialized traces.
+    /// flag are bit-identical to [`Workload::new`] over the materialized
+    /// traces (see `from_split`).
     pub fn from_translation(name: impl Into<String>, translation: Translation) -> Self {
-        let (demand, split) = translation.into_parts();
-        Workload::from_split(name.into(), demand, split)
+        let (demand, d_max, split) = translation.into_parts();
+        Workload::from_split(name.into(), demand, d_max, split)
     }
 
-    fn from_split(name: String, demand: Trace, split: CosSplit) -> Self {
-        let mut cos1_peak = 0.0f64;
-        let mut total_peak = 0.0f64;
-        let mut cos1_zero = true;
-        for &d in demand.samples() {
-            let (c1, c2) = split.classes(d);
-            cos1_peak = cos1_peak.max(c1);
-            total_peak = total_peak.max(c1 + c2);
-            cos1_zero &= c1.to_bits() == 0;
-        }
+    /// A split workload over `demand`, whose peak (`Trace::peak`) is
+    /// `d_max`; the split's cap is non-negative and its factor positive.
+    ///
+    /// Explicit traces would hold `cos1_peak` and `total_peak` as
+    /// `fold(0.0, max)` of `c1` and of `c1 + c2`. Both are non-decreasing
+    /// in the demand under round-to-nearest (`min`, scaling by a positive
+    /// factor and `capped − min(capped, p·cap)` each are), so both folds
+    /// peak at the split of `D_max`. Where that peak is positive it is a
+    /// sample's exact value and no pass is needed. With `p = 0` every `c1`
+    /// is the literal `+0.0` and every `c1 + c2` is `+0.0 + c2`, never
+    /// `-0.0`, so the split of `D_max` gives the folds there too. Only a
+    /// `p > 0` split whose `c1` at `D_max` is zero keeps the streaming
+    /// fold: its `-0.0` samples decide the flag and the sign of a zero
+    /// peak.
+    fn from_split(name: String, demand: Trace, d_max: f64, split: CosSplit) -> Self {
+        let (c1, c2) = split.classes(d_max);
+        // lint:allow(unit-float-eq): exact zero is `CosSplit::classes`'s
+        // own test for the `p = 0` arm, whose `c1` is the literal `+0.0`.
+        let (cos1_peak, total_peak, cos1_zero) = if c1 > 0.0 || split.p == 0.0 {
+            (c1, c1 + c2, c1.to_bits() == 0)
+        } else {
+            let mut cos1_peak = 0.0f64;
+            let mut total_peak = 0.0f64;
+            let mut cos1_zero = true;
+            for &d in demand.samples() {
+                let (c1, c2) = split.classes(d);
+                cos1_peak = cos1_peak.max(c1);
+                total_peak = total_peak.max(c1 + c2);
+                cos1_zero &= c1.to_bits() == 0;
+            }
+            (cos1_peak, total_peak, cos1_zero)
+        };
         Workload {
             name,
             classes: Classes::Split { demand, split },
@@ -551,7 +572,8 @@ mod tests {
                         cap: [f64::INFINITY, cap][ck as usize],
                         factor: [1.0, factor][fk as usize],
                     };
-                    let split = Workload::from_split(format!("w{tag}"), demand, split);
+                    let d_max = demand.peak();
+                    let split = Workload::from_split(format!("w{tag}"), demand, d_max, split);
                     let twin = Workload::new(split.name(), split.cos1(), split.cos2()).unwrap();
                     (split, twin)
                 },
@@ -624,6 +646,7 @@ mod tests {
             Workload::from_split(
                 "w".into(),
                 demand.clone(),
+                demand.peak(),
                 CosSplit {
                     p: 0.5,
                     cap,
@@ -652,7 +675,7 @@ mod tests {
             cap: f64::INFINITY,
             factor: 2.0,
         };
-        let w = Workload::from_split("w".into(), demand, split);
+        let w = Workload::from_split("w".into(), demand.clone(), demand.peak(), split);
         let cos2 = w.cos2();
         assert_eq!(cos2.samples()[5].to_bits(), (-0.0f64).to_bits());
         let positive: Vec<f64> = cos2.iter().map(|v| v + 0.0).collect();

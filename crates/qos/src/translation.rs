@@ -13,7 +13,8 @@
 use serde::{Deserialize, Serialize};
 
 use ropus_obs::ObsCtx;
-use ropus_trace::runs::{first_full_window, min_in_range, runs_where};
+use ropus_trace::runs::{first_full_window, min_in_range, run_stats, runs_where};
+use ropus_trace::stats::percentile_upper_rank;
 use ropus_trace::{Trace, TraceError};
 
 pub use ropus_trace::kernels::CosSplit;
@@ -21,7 +22,7 @@ pub use ropus_trace::kernels::CosSplit;
 use crate::portfolio::{
     breakpoint, cap_for_degraded_threshold, degraded_threshold, worst_case_utilization,
 };
-use crate::{AppQos, CosSpec, QosError};
+use crate::{units, AppQos, CosSpec, QosError};
 
 /// Result of translating one application's demand onto the two CoS.
 ///
@@ -33,6 +34,10 @@ use crate::{AppQos, CosSpec, QosError};
 pub struct Translation {
     /// The translated demand (a shared handle on the caller's trace).
     demand: Trace,
+    /// The demand's peak `D_max`, kept beside the demand so that only
+    /// [`translate`] pairs the two (the report's copy is public and
+    /// mutable).
+    d_max: f64,
     /// How each demand sample divides into CoS1 and CoS2 allocation.
     /// Private so that only [`translate`], which checks that the split of
     /// every sample is finite, can pair it with a demand.
@@ -42,10 +47,11 @@ pub struct Translation {
 }
 
 impl Translation {
-    /// The translated demand and how each of its samples divides into
-    /// CoS1 and CoS2 allocation, consuming the translation.
-    pub fn into_parts(self) -> (Trace, CosSplit) {
-        (self.demand, self.split)
+    /// The translated demand, its peak `D_max`, and how each of its
+    /// samples divides into CoS1 and CoS2 allocation, consuming the
+    /// translation.
+    pub fn into_parts(self) -> (Trace, f64, CosSplit) {
+        (self.demand, self.d_max, self.split)
     }
 
     /// Allocation requirements placed in the guaranteed class.
@@ -227,12 +233,13 @@ pub fn translate(
         }
     }
 
-    // Worst-case outcome statistics.
+    // Worst-case outcome statistics, in one pass over the demand.
     let threshold = degraded_threshold(band, cos2, d_new_max);
-    let degraded_fraction = demand.fraction_above(threshold);
-    let longest_run = ropus_trace::runs::longest_run(demand.samples(), |d| d > threshold);
-    let longest_degraded_minutes = (longest_run as u32) * calendar.slot_minutes();
-    let max_degraded_epochs_per_week = max_epochs_in_any_week(demand, qos, cos2, d_new_max);
+    let degraded = run_stats(demand.samples(), calendar.slots_per_week(), |d| {
+        d > threshold
+    });
+    let degraded_fraction = units::count(degraded.count) / units::count(demand.len());
+    let longest_degraded_minutes = (degraded.longest_run as u32) * calendar.slot_minutes();
     let max_worst_case_utilization = if d_max > 0.0 {
         worst_case_utilization(d_max, band, cos2, d_new_max)
     } else {
@@ -247,6 +254,7 @@ pub fn translate(
 
     Ok(Translation {
         demand: demand.clone(),
+        d_max,
         split,
         report: TranslationReport {
             breakpoint: p,
@@ -257,7 +265,7 @@ pub fn translate(
             time_limit_iterations: iterations,
             degraded_fraction,
             longest_degraded_minutes,
-            max_degraded_epochs_per_week,
+            max_degraded_epochs_per_week: degraded.max_runs_per_chunk,
             max_worst_case_utilization,
             peak_allocation,
         },
@@ -275,29 +283,34 @@ pub fn translate(
 ///
 /// `d_max` is the demand's peak, `demand.peak()`: [`translate`] scans for
 /// it once and shares it with this cap.
+///
+/// `D_M%` is the upper nearest-rank percentile (at most `M_degr` of the
+/// measurements sit strictly above it), but the cap needs it only when
+/// `A_ok >= A_degr`. That test, `v / U_high >= A_degr`, is monotone in
+/// the sample `v`, so it holds on the top `c` samples of the sorted
+/// demand and nowhere else. One count of `c` decides the branch: with
+/// `rank` the percentile's index, `c < n − rank` means formula 3 wins
+/// and no order statistic is needed; otherwise `D_M%` is element
+/// `rank − (n − c)` among those `c` samples alone. The result is the same
+/// order statistic, bit for bit, as selecting over the whole demand.
 pub fn demand_cap(demand: &Trace, d_max: f64, qos: &AppQos) -> f64 {
     let Some(degr) = qos.degradation() else {
         return d_max;
     };
-    let band = qos.band();
-    // Upper nearest-rank percentile: guarantees at most M_degr of the
-    // measurements sit strictly above the cap. Translation queries exactly
-    // one percentile per demand trace, so the O(len) quickselect kernel
-    // beats sorting — and skips populating the trace's sorted cache, which
-    // at fleet scale would fault hundreds of MB of cold pages. The kernel
-    // returns the same order statistic bit-for-bit.
-    let d_m = ropus_trace::kernels::percentile_upper_select(
-        demand.samples(),
-        degr.acceptable_percentile(),
-        &mut Vec::new(),
-    );
-    let a_ok = d_m / band.high();
+    let high = qos.band().high();
     let a_degr = d_max / degr.u_degr();
-    if a_ok >= a_degr {
-        d_m
-    } else {
-        d_max * band.high() / degr.u_degr()
+    let covers = |v: f64| v / high >= a_degr;
+    let samples = demand.samples();
+    let rank = percentile_upper_rank(samples.len(), degr.acceptable_percentile());
+    let count = samples.iter().filter(|&&v| covers(v)).count();
+    let below = samples.len() - count;
+    if rank < below {
+        return d_max * high / degr.u_degr();
     }
+    let mut covering = Vec::with_capacity(count);
+    covering.extend(samples.iter().copied().filter(|&v| covers(v)));
+    let (_, d_m, _) = covering.select_nth_unstable_by(rank - below, f64::total_cmp);
+    *d_m
 }
 
 /// The iterative `T_degr` trace analysis of formulas (6)–(11).
@@ -308,7 +321,9 @@ pub fn demand_cap(demand: &Trace, d_max: f64, qos: &AppQos) -> f64 {
 /// violating window, takes its smallest demand `D_min_degr`, and raises the
 /// cap to `D_min_degr · U_low / (U_high · (p(1−θ) + θ))` — the value that
 /// puts `D_min_degr` exactly at `U_high`, breaking the run. The cap rises
-/// strictly each iteration, so the analysis terminates.
+/// strictly each iteration, so the analysis terminates. Raising the cap
+/// only shrinks the degraded set, so no window before the last violating
+/// one can become full: each search resumes at that window's start.
 ///
 /// Returns the final cap and the number of iterations.
 ///
@@ -331,12 +346,18 @@ pub fn enforce_time_limit(
     let mut cap = initial_cap;
     let mut iterations = 0usize;
     let max_iterations = samples.len() + 1;
+    let mut from = 0usize;
 
     loop {
         let threshold = degraded_threshold(band, cos2, cap);
-        let Some(start) = first_full_window(samples, window, |d| d > threshold) else {
+        let Some(start) = samples
+            .get(from..)
+            .and_then(|rest| first_full_window(rest, window, |d| d > threshold))
+            .map(|offset| from + offset)
+        else {
             return Ok((cap, iterations));
         };
+        from = start;
         iterations += 1;
         if iterations > max_iterations {
             return Err(QosError::TimeLimitDiverged { iterations });
@@ -421,18 +442,6 @@ pub fn enforce_epoch_budget(
         }
         cap = candidate;
     }
-}
-
-/// Maximum number of degraded epochs in any week at the given cap.
-pub fn max_epochs_in_any_week(demand: &Trace, qos: &AppQos, cos2: &CosSpec, cap: f64) -> usize {
-    let threshold = degraded_threshold(qos.band(), cos2, cap);
-    let per_week = demand.calendar().slots_per_week();
-    demand
-        .samples()
-        .chunks(per_week)
-        .map(|week| runs_where(week, |d| d > threshold).len())
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -466,33 +466,6 @@ pub fn sorted(values: &[f64]) -> Vec<f64> {
     owned
 }
 
-/// Upper nearest-rank percentile by quickselect: the one-shot companion
-/// of the sorted-cache path, returning `sorted[ceil(q/100 · (n−1))]`
-/// without sorting. The k-th order statistic under `total_cmp` is a fixed
-/// element of the sample multiset whatever algorithm finds it, so this is
-/// bit-identical to sorting first — in O(len) instead of O(len log len),
-/// and without materializing a per-trace sorted cache. `scratch` is
-/// clobbered (and reused across calls by hot translation loops).
-///
-/// # Panics
-///
-/// Panics if `q` is NaN or outside `[0, 100]`.
-pub fn percentile_upper_select(samples: &[f64], q: f64, scratch: &mut Vec<f64>) -> f64 {
-    assert!(
-        (0.0..=100.0).contains(&q),
-        "percentile {q} outside [0, 100]"
-    );
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let rank = (q / 100.0 * (samples.len() - 1) as f64).ceil() as usize;
-    let rank = rank.min(samples.len() - 1);
-    scratch.clear();
-    scratch.extend_from_slice(samples);
-    let (_, value, _) = scratch.select_nth_unstable_by(rank, f64::total_cmp);
-    *value
-}
-
 /// Lane-chunked sum with the fixed association documented at the module
 /// level. Returns 0 for an empty slice.
 pub fn sum(values: &[f64]) -> f64 {

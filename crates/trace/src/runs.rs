@@ -55,16 +55,62 @@ where
     runs
 }
 
-/// Length of the longest run satisfying `predicate` (0 if none).
-pub fn longest_run<F>(samples: &[f64], predicate: F) -> usize
+/// Degraded-run statistics of one predicate over a trace, from
+/// [`run_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunStats {
+    /// Number of samples satisfying the predicate.
+    pub count: usize,
+    /// Length of the longest run over the whole trace (runs may cross
+    /// chunk boundaries); 0 if none.
+    pub longest_run: usize,
+    /// Largest number of maximal runs inside any one chunk, a partial
+    /// last chunk included; a run crossing a chunk boundary counts once
+    /// in each chunk it touches.
+    pub max_runs_per_chunk: usize,
+}
+
+/// Counts, longest run and most runs per `chunk_len`-sample chunk for
+/// `predicate`, in one pass. The same numbers as counting matches,
+/// taking the longest of [`runs_where`] over all samples, and taking the
+/// most [`runs_where`] runs over `samples.chunks(chunk_len)`.
+///
+/// # Panics
+///
+/// Panics if `chunk_len` is 0.
+///
+/// # Example
+///
+/// ```
+/// use ropus_trace::runs::{run_stats, RunStats};
+///
+/// let demand = [5.0, 5.0, 1.0, 5.0, 5.0, 5.0, 1.0, 5.0];
+/// let stats = run_stats(&demand, 4, |d| d > 4.0);
+/// assert_eq!(
+///     stats,
+///     RunStats { count: 6, longest_run: 3, max_runs_per_chunk: 2 }
+/// );
+/// ```
+pub fn run_stats<F>(samples: &[f64], chunk_len: usize, mut predicate: F) -> RunStats
 where
     F: FnMut(f64) -> bool,
 {
-    runs_where(samples, predicate)
-        .iter()
-        .map(|r| r.len)
-        .max()
-        .unwrap_or(0)
+    let mut stats = RunStats::default();
+    let mut streak = 0usize;
+    for chunk in samples.chunks(chunk_len) {
+        let mut runs = 0usize;
+        let mut previous = false;
+        for &v in chunk {
+            let hit = predicate(v);
+            stats.count += usize::from(hit);
+            runs += usize::from(hit && !previous);
+            streak = if hit { streak + 1 } else { 0 };
+            stats.longest_run = stats.longest_run.max(streak);
+            previous = hit;
+        }
+        stats.max_runs_per_chunk = stats.max_runs_per_chunk.max(runs);
+    }
+    stats
 }
 
 /// First window of exactly `window` consecutive samples all satisfying
@@ -130,6 +176,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const TRACE: [f64; 10] = [0.0, 5.0, 5.0, 5.0, 0.0, 5.0, 0.0, 5.0, 5.0, 5.0];
 
@@ -161,8 +208,46 @@ mod tests {
 
     #[test]
     fn longest_run_length() {
-        assert_eq!(longest_run(&TRACE, hot), 3);
-        assert_eq!(longest_run(&[0.0], hot), 0);
+        assert_eq!(run_stats(&TRACE, TRACE.len(), hot).longest_run, 3);
+        assert_eq!(run_stats(&[0.0], 1, hot).longest_run, 0);
+    }
+
+    #[test]
+    fn run_stats_counts_runs_per_chunk_and_across_chunks() {
+        // Chunks [0 5 5] [5 0 5] [0 5 5] [5]: the first run crosses into
+        // the second chunk and counts in both; the last run spans the
+        // partial last chunk.
+        assert_eq!(
+            run_stats(&TRACE, 3, hot),
+            RunStats {
+                count: 7,
+                longest_run: 3,
+                max_runs_per_chunk: 2
+            }
+        );
+        assert_eq!(run_stats(&[0.0], 4, hot), RunStats::default());
+        assert_eq!(run_stats(&[], 4, hot), RunStats::default());
+    }
+
+    proptest! {
+        /// The fused pass matches the run lists it replaces.
+        #[test]
+        fn run_stats_matches_run_lists(
+            samples in proptest::collection::vec(0u8..3, 0..60),
+            chunk_len in 1usize..12,
+        ) {
+            let samples: Vec<f64> = samples.into_iter().map(f64::from).collect();
+            let stats = run_stats(&samples, chunk_len, hot);
+            prop_assert_eq!(stats.count, samples.iter().filter(|&&v| hot(v)).count());
+            let longest = runs_where(&samples, hot).iter().map(|r| r.len).max().unwrap_or(0);
+            prop_assert_eq!(stats.longest_run, longest);
+            let per_chunk = samples
+                .chunks(chunk_len)
+                .map(|chunk| runs_where(chunk, hot).len())
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(stats.max_runs_per_chunk, per_chunk);
+        }
     }
 
     #[test]

@@ -113,14 +113,18 @@ pub fn percentile_upper_of_sorted(sorted: &[f64], q: f64) -> f64 {
         (0.0..=100.0).contains(&q),
         "percentile {q} outside [0, 100]"
     );
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q / 100.0 * (sorted.len() - 1) as f64).ceil() as usize;
     sorted
-        .get(rank.min(sorted.len() - 1))
+        .get(percentile_upper_rank(sorted.len(), q))
         .copied()
         .unwrap_or(0.0)
+}
+
+/// Index of the upper nearest-rank `q`-th percentile in an ascending
+/// slice of `len` samples: `ceil(q/100 · (len − 1))`, clamped to the last
+/// index (0 when `len` is 0).
+pub fn percentile_upper_rank(len: usize, q: f64) -> usize {
+    let last = len.saturating_sub(1);
+    ((q / 100.0 * last as f64).ceil() as usize).min(last)
 }
 
 /// Pearson correlation of two equally long series; 0 when undefined

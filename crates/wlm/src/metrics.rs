@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use ropus_obs::SloContract;
 use ropus_qos::AppQos;
-use ropus_trace::runs::{longest_run, runs_where};
+use ropus_trace::runs::run_stats;
 use ropus_trace::Trace;
 
 /// One audited requirement clause and its measured value.
@@ -116,17 +116,14 @@ pub fn utilization_of_allocation(served: f64, granted: f64) -> f64 {
 /// trivially within its band; `U_low` is a sizing goal, not an SLO floor).
 pub fn audit(utilization: &Trace, qos: &AppQos) -> SloAudit {
     let band = qos.band();
-    let degraded_fraction = utilization.fraction_above(band.high());
+    let calendar = utilization.calendar();
+    let degraded = run_stats(utilization.samples(), calendar.slots_per_week(), |u| {
+        u > band.high()
+    });
+    let degraded_fraction = degraded.count as f64 / utilization.len() as f64;
     let max_utilization = utilization.peak();
-    let run = longest_run(utilization.samples(), |u| u > band.high());
-    let longest_degraded_minutes = run as u32 * utilization.calendar().slot_minutes();
-    let per_week = utilization.calendar().slots_per_week();
-    let max_epochs_per_week = utilization
-        .samples()
-        .chunks(per_week)
-        .map(|week| runs_where(week, |u| u > band.high()).len())
-        .max()
-        .unwrap_or(0);
+    let longest_degraded_minutes = degraded.longest_run as u32 * calendar.slot_minutes();
+    let max_epochs_per_week = degraded.max_runs_per_chunk;
 
     let mut violations = Vec::new();
     match qos.degradation() {

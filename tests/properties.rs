@@ -13,7 +13,7 @@ use ropus_placement::simulator::{access_probability, AggregateLoad, FitOptions, 
 use ropus_placement::workload::Workload;
 use ropus_placement::PlacementError;
 use ropus_qos::portfolio::{breakpoint, split_demand, worst_case_utilization};
-use ropus_qos::translation::translate;
+use ropus_qos::translation::{demand_cap, translate};
 use ropus_trace::gen::AppWorkload;
 use ropus_trace::{kernels, stats, FleetMatrix};
 
@@ -354,11 +354,13 @@ proptest! {
     /// Fleet aggregation and order statistics agree bitwise across all
     /// three implementations: the slot-major `FleetMatrix` path, the
     /// `add_assign` column accumulation, and the scalar per-slot sum —
-    /// and quickselect percentiles match the sorted-cache path.
+    /// and the count-first `M_degr` cap matches formulas 2–3 over the
+    /// sorted-cache percentile.
     #[test]
     fn fleet_aggregation_and_percentiles_match_scalar_references(
         fleet in proptest::collection::vec(proptest::collection::vec(0.0f64..20.0, 168), 1..6),
-        q in 0.0f64..=100.0,
+        m_degr in 0.0f64..1.0,
+        u_degr in 0.67f64..0.99,
     ) {
         let traces: Vec<Trace> = fleet
             .iter()
@@ -380,13 +382,23 @@ proptest! {
             prop_assert_eq!(scalar.to_bits(), columnar[slot].to_bits());
         }
 
-        // Quickselect, one-shot sort, and the per-trace sorted cache all
-        // return the same order statistic, bit for bit.
-        let mut scratch = Vec::new();
+        // The one-shot sort and the per-trace sorted cache return the same
+        // order statistic, and the cap that selects it only among the
+        // samples that cover `A_degr` picks formula 2 or 3 exactly as the
+        // cap over that percentile does, bit for bit.
+        let band = UtilizationBand::paper_default();
+        let qos = AppQos::new(band, Some(DegradationSpec::new(m_degr, u_degr, None).unwrap()));
+        let q = 100.0 * (1.0 - m_degr);
         for (trace, column) in traces.iter().zip(&fleet) {
-            let select = kernels::percentile_upper_select(column, q, &mut scratch);
-            prop_assert_eq!(select.to_bits(), stats::percentile_upper(column, q).to_bits());
-            prop_assert_eq!(select.to_bits(), trace.percentile_upper(q).to_bits());
+            let d_m = trace.percentile_upper(q);
+            prop_assert_eq!(d_m.to_bits(), stats::percentile_upper(column, q).to_bits());
+            let d_max = trace.peak();
+            let expected = if d_m / band.high() >= d_max / u_degr {
+                d_m
+            } else {
+                d_max * band.high() / u_degr
+            };
+            prop_assert_eq!(demand_cap(trace, d_max, &qos).to_bits(), expected.to_bits());
         }
     }
 
