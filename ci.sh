@@ -87,13 +87,34 @@ cargo run --release -q -p ropus-cli -- obs-report --file "$OBS_TMP/obs.json" \
 
 echo "==> translate smoke"
 # Every translation report field, at full f64 precision, must match the
-# pinned output for the generated fleet in normal mode (T_degr 30) and in
-# failure mode; the fig7/fig8 tables print rounded values only.
-for mode in normal failure; do
+# pinned output for the generated fleet in normal mode (T_degr 30), in
+# failure mode, and under an hourly policy (θ 0.6, T_degr 180, two
+# epochs a week), whose 168-slot weeks end in a partial 8-slot block of
+# the translation's block index; the fig7/fig8 tables print rounded
+# values only.
+cat > "$OBS_TMP/policy-hourly.json" <<'JSON'
+{
+  "slot_minutes": 60,
+  "server": { "cpus": 16, "cpu_capacity": 1.0 },
+  "commitments": { "theta": 0.6, "deadline_minutes": 60 },
+  "normal": {
+    "band": { "low": 0.5, "high": 0.66 },
+    "degradation": {
+      "max_fraction": 0.03,
+      "u_degr": 0.9,
+      "time_limit_minutes": 180,
+      "max_epochs_per_week": 2
+    }
+  }
+}
+JSON
+for mode in normal failure hourly; do
+    POLICY="$OBS_TMP/policy.json"
     MODE_FLAG=()
     [ "$mode" = failure ] && MODE_FLAG=(--failure-mode)
+    [ "$mode" = hourly ] && POLICY="$OBS_TMP/policy-hourly.json"
     cargo run --release -q -p ropus-cli -- translate \
-        --traces "$OBS_TMP/traces.csv" --policy "$OBS_TMP/policy.json" --json "${MODE_FLAG[@]}" \
+        --traces "$OBS_TMP/traces.csv" --policy "$POLICY" --json "${MODE_FLAG[@]}" \
         > "$OBS_TMP/translate-$mode.json"
     diff "$OBS_TMP/translate-$mode.json" "tests/golden/translate_$mode.json" \
         || { echo "translate --json ($mode) differs from tests/golden/translate_$mode.json"; exit 1; }

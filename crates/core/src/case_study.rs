@@ -129,8 +129,11 @@ pub struct TranslatedApp {
 ///
 /// # Errors
 ///
-/// Propagates translation failures (which the case-study constants should
-/// never trigger).
+/// Propagates translation failures. Table I's policies always validate,
+/// and [`QosError::TimeLimitDiverged`](ropus_qos::QosError::TimeLimitDiverged)
+/// is defensive: each `T_degr` or epoch-budget step raises the cap through
+/// the exact threshold inverse, which makes the broken window's demand
+/// non-degraded, so the analysis always makes progress.
 pub fn translate_fleet(
     fleet: &[AppWorkload],
     case: &CaseConfig,
@@ -147,8 +150,7 @@ pub fn translate_fleet(
 ///
 /// # Errors
 ///
-/// Propagates translation failures (which the case-study constants should
-/// never trigger).
+/// Propagates translation failures, as [`translate_fleet`] does.
 pub fn translate_fleet_threaded(
     fleet: &[AppWorkload],
     case: &CaseConfig,

@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 use serde::{Deserialize, Serialize};
 
 use ropus_qos::PoolCommitments;
+use ropus_trace::kernels::{BlockMax, BLOCK};
 use ropus_trace::Calendar;
 
 use crate::sumtree::{SlotArena, SumTree};
@@ -368,9 +369,6 @@ pub fn deadline_satisfied(load: &AggregateLoad, capacity: f64, deadline_slots: u
     ExceedanceIndex::new(load).deadline_met(capacity, deadline_slots)
 }
 
-/// Slots per block of the deadline replay's skip index.
-const BLOCK: usize = 32;
-
 /// A per-search summary of an aggregate's totals that lets every capacity
 /// probe skip the slots whose outcome is already known (DESIGN.md §5a).
 ///
@@ -387,8 +385,9 @@ struct ExceedanceIndex<'a> {
     /// Each group's `Σ_days A`, accumulated in day order from `0.0` — the
     /// same additions, in the same order, as the `θ` denominator.
     group_requested: Vec<f64>,
-    /// The maximum total of each `BLOCK`-slot block (the last may be short).
-    block_max: Vec<f64>,
+    /// The maximum total of each `BLOCK`-slot block, the whole trace as
+    /// one chunk (the last block may be short).
+    blocks: BlockMax<'a>,
 }
 
 impl<'a> ExceedanceIndex<'a> {
@@ -413,17 +412,14 @@ impl<'a> ExceedanceIndex<'a> {
                 }
             }
         }
-        let block_max = totals
-            .chunks(BLOCK)
-            .map(|block| block.iter().copied().fold(0.0, f64::max))
-            .collect();
+        let blocks = BlockMax::new(totals, totals.len().max(1));
         ExceedanceIndex {
             totals,
             per_day,
             per_week,
             group_max,
             group_requested,
-            block_max,
+            blocks,
         }
     }
 
@@ -472,7 +468,8 @@ impl<'a> ExceedanceIndex<'a> {
         loop {
             if backlog.is_empty() && slot % BLOCK == 0 {
                 let quiet = self
-                    .block_max
+                    .blocks
+                    .maxima()
                     .iter()
                     .skip(slot / BLOCK)
                     .take_while(|&&m| m <= capacity)
@@ -1350,8 +1347,8 @@ mod tests {
             3.0,
             pick(&index.group_max),
             pick(&index.group_max),
-            pick(&index.block_max),
-            pick(&index.block_max),
+            pick(index.blocks.maxima()),
+            pick(index.blocks.maxima()),
             pick(load.totals()),
             load.total_peak(),
             load.total_peak() + 1.0,

@@ -2,11 +2,12 @@
 //! `translate` and `Workload::from_translation` replaced, kept as the
 //! reference the three-pass versions must match bit for bit.
 //!
-//! The reference reads the demand once per statistic: the peak, a sort
-//! for `D_M%`, a `T_degr` search that restarts at slot 0 on every
-//! iteration, a count above the degraded threshold, the run lists for
-//! the longest run and for each week's epochs, and a fold over every
-//! sample's split for the workload peaks and the zero-CoS1 flag.
+//! The reference reads the demand once per statistic: a scalar fold for
+//! the peak, a sort for `D_M%`, a closure window scan over every sample
+//! that restarts at slot 0 on every `T_degr` iteration, a count above the
+//! degraded threshold, the run lists for the longest run and for each
+//! week's epochs, and a fold over every sample's split for the workload
+//! peaks and the zero-CoS1 flag. None of it reads a block index.
 
 use proptest::prelude::*;
 
@@ -16,10 +17,36 @@ use ropus_qos::portfolio::{
 };
 use ropus_qos::translation::{enforce_epoch_budget, translate, CosSplit, TranslationReport};
 use ropus_qos::{AppQos, CosSpec, DegradationSpec, QosError, UtilizationBand};
-use ropus_trace::runs::{first_full_window, min_in_range, runs_where};
+use ropus_trace::runs::{min_in_range, runs_where};
 use ropus_trace::{stats, Calendar, Trace};
 
 use crate::workload::Workload;
+
+/// `D_max` as a scalar fold over every sample.
+fn reference_peak(samples: &[f64]) -> f64 {
+    samples.iter().copied().fold(0.0, f64::max)
+}
+
+/// Start of the first `window` consecutive samples that all pass
+/// `predicate`, testing every sample.
+fn reference_first_full_window(
+    samples: &[f64],
+    window: usize,
+    predicate: impl Fn(f64) -> bool,
+) -> Option<usize> {
+    let mut streak = 0usize;
+    for (i, &v) in samples.iter().enumerate() {
+        if predicate(v) {
+            streak += 1;
+            if streak == window {
+                return Some(i + 1 - window);
+            }
+        } else {
+            streak = 0;
+        }
+    }
+    None
+}
 
 /// Formulas 2–3 over the sorted upper nearest-rank percentile.
 fn reference_cap(demand: &Trace, d_max: f64, qos: &AppQos) -> f64 {
@@ -51,7 +78,7 @@ fn reference_time_limit(
     let mut iterations = 0;
     loop {
         let threshold = degraded_threshold(band, cos2, cap);
-        let Some(start) = first_full_window(samples, window, |d| d > threshold) else {
+        let Some(start) = reference_first_full_window(samples, window, |d| d > threshold) else {
             return Ok((cap, iterations));
         };
         iterations += 1;
@@ -73,7 +100,7 @@ fn reference_translate(
     qos.validate()?;
     let band = qos.band();
     let p = breakpoint(band, cos2);
-    let d_max = demand.peak();
+    let d_max = reference_peak(demand.samples());
     let d_cap_mdegr = reference_cap(demand, d_max, qos);
     let (mut d_new_max, mut iterations) =
         match qos.degradation().and_then(|d| d.time_limit_minutes()) {
@@ -208,48 +235,86 @@ fn policies() -> Vec<(AppQos, CosSpec)> {
     out
 }
 
-/// Five-minute demand built from plateaus: `+0.0`, `-0.0`, a few integer
-/// levels that tie at the percentile rank, arbitrary levels, and rising
-/// or falling ramps (a degraded run whose minimum sits at one end, so the
-/// `T_degr` search must resume inside the window it just broke). The
-/// length is one sample, one week, a week and a partial one, or two
-/// weeks; one week or the whole trace may be zeros of mixed sign.
+/// The smallest sample `v` with `v / U_high >= D_max / U_degr` under the
+/// paper band and `U_degr = 0.9`, found by testing floats one ulp apart:
+/// the boundary `demand_cap` counts from.
+fn covering_boundary(d_max: f64) -> f64 {
+    let high = UtilizationBand::paper_default().high();
+    let a_degr = d_max / 0.9;
+    let covers = |v: f64| v / high >= a_degr;
+    let mut v = a_degr * high;
+    while covers(v) {
+        v = v.next_down();
+    }
+    while !covers(v) {
+        v = v.next_up();
+    }
+    v
+}
+
+/// Demand on a 5-, 15- or 60-minute calendar (a 60-minute week of 168
+/// slots ends in an 8-slot partial block), built from plateaus: `+0.0`,
+/// `-0.0`, a few integer levels that tie at the percentile rank,
+/// arbitrary levels, and rising or falling ramps (a degraded run whose
+/// minimum sits at one end, so the `T_degr` search must resume inside
+/// the window it just broke). The length is one sample, one week, a week
+/// and a partial one, or two weeks; one week or the whole trace may be
+/// zeros of mixed sign. Some traces get runs of samples at the covering
+/// boundary of their own peak and at its ulp neighbours.
 fn demand() -> impl Strategy<Value = Trace> {
     let plateau = (0u32..12, 0.0f64..10.0, 1usize..40);
     (
         proptest::collection::vec(plateau, 1..60),
-        0u32..4,
-        1usize..2016,
+        (0u32..4, 1usize..2016),
         0u32..6,
+        (0usize..3, 0u32..3, 1usize..60),
     )
-        .prop_map(|(plateaus, shape, partial, zeros)| {
-            let week = Calendar::five_minute().slots_per_week();
-            let len = [1, week, week + partial, 2 * week][shape as usize];
-            let mut samples: Vec<f64> = plateaus
-                .iter()
-                .flat_map(|&(kind, level, run)| {
-                    (0..run).map(move |j| match kind {
-                        0 => 0.0,
-                        1 => -0.0,
-                        2..=5 => f64::from(kind - 1),
-                        10 => level + 0.25 * j as f64,
-                        11 => level + 0.25 * (run - j) as f64,
-                        _ => level,
+        .prop_map(
+            |(plateaus, (shape, partial), zeros, (minutes, boundary, stride))| {
+                let calendar = Calendar::new([5, 15, 60][minutes]).unwrap();
+                let week = calendar.slots_per_week();
+                let len = [1, week, week + partial % week, 2 * week][shape as usize];
+                let mut samples: Vec<f64> = plateaus
+                    .iter()
+                    .flat_map(|&(kind, level, run)| {
+                        (0..run).map(move |j| match kind {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2..=5 => f64::from(kind - 1),
+                            10 => level + 0.25 * j as f64,
+                            11 => level + 0.25 * (run - j) as f64,
+                            _ => level,
+                        })
                     })
-                })
-                .cycle()
-                .take(len)
-                .collect();
-            let zeroed = match zeros {
-                0 => samples.len(),
-                1 => week.min(samples.len()),
-                _ => 0,
-            };
-            for (i, s) in samples.iter_mut().take(zeroed).enumerate() {
-                *s = if i % 3 == 0 { -0.0 } else { 0.0 };
-            }
-            Trace::from_samples(Calendar::five_minute(), samples).unwrap()
-        })
+                    .cycle()
+                    .take(len)
+                    .collect();
+                let zeroed = match zeros {
+                    0 => samples.len(),
+                    1 => week.min(samples.len()),
+                    _ => 0,
+                };
+                for (i, s) in samples.iter_mut().take(zeroed).enumerate() {
+                    *s = if i % 3 == 0 { -0.0 } else { 0.0 };
+                }
+                if boundary > 0 {
+                    let x0 = covering_boundary(reference_peak(&samples));
+                    let near = [x0.next_down(), x0, x0.next_up()];
+                    // Every `stride`-th sample, or runs of `stride`
+                    // samples that cross block and week edges.
+                    for (i, s) in samples.iter_mut().enumerate() {
+                        let hit = match boundary {
+                            1 => i % stride == 0,
+                            _ => (i / stride) % 3 == 1,
+                        };
+                        if hit && *s < x0 {
+                            *s = near[i % 3];
+                        }
+                    }
+                }
+                Trace::from_samples(calendar, samples).unwrap()
+            },
+        )
 }
 
 proptest! {

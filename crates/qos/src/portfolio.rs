@@ -130,18 +130,32 @@ pub fn degraded_threshold(band: UtilizationBand, cos2: &CosSpec, d_new_max: f64)
     d_new_max * (band.high() * cos2.theta() / band.low()).max(1.0)
 }
 
-/// Inverse of [`degraded_threshold`]: the smallest demand cap whose
-/// degraded threshold is at least `threshold`.
+/// Inverse of [`degraded_threshold`]: a demand cap whose degraded
+/// threshold is at least `threshold`, so that a demand of `threshold` is
+/// not degraded under it.
 ///
 /// Used by the trace analyses that must make a specific demand value
 /// non-degraded (the `T_degr` window breaking and the epoch-budget
 /// enforcement): setting the cap to `cap_for_degraded_threshold(t)` puts a
 /// demand of exactly `t` at worst-case utilization `U_high`.
+///
+/// With `p > 0` the threshold is the cap itself. With `p = 0` it is
+/// `cap · k`, `k = θ·U_high/U_low`, and `(t / k) · k` can round below
+/// `t`; the cap then steps up by ulps to the smallest one whose
+/// threshold reaches `t`. Where `t / k` already reaches it, `t / k` is
+/// returned as is (it can sit an ulp above the smallest such cap), so
+/// every analysis that converged with the plain quotient keeps its bits.
 pub fn cap_for_degraded_threshold(band: UtilizationBand, cos2: &CosSpec, threshold: f64) -> f64 {
     if band.ratio() > cos2.theta() {
         return threshold;
     }
-    threshold / (band.high() * cos2.theta() / band.low()).max(1.0)
+    let reaches = |cap: f64| degraded_threshold(band, cos2, cap) >= threshold;
+    let quotient = threshold / (band.high() * cos2.theta() / band.low()).max(1.0);
+    if reaches(quotient) {
+        quotient
+    } else {
+        crate::units::least_passing(quotient, reaches)
+    }
 }
 
 /// Normalized maximum allocation as a function of `θ` (the Fig. 3 trend):
@@ -276,6 +290,30 @@ mod tests {
         // Demands between the cap and the threshold are NOT degraded.
         let u = worst_case_utilization(11.0, band(), &cos(0.95), 10.0);
         assert!(u < band().high());
+    }
+
+    #[test]
+    fn threshold_inverse_reaches_its_target_at_p_zero() {
+        // At θ 0.95, `(x / k) · k < x` for about 6% of demands `x`; each of
+        // them must still come back non-degraded, at the smallest cap that
+        // does it, and every other `x` keeps the plain quotient.
+        let spec = cos(0.95);
+        let k = (band().high() * 0.95 / band().low()).max(1.0);
+        let mut raised = 0;
+        for i in 1..20_000 {
+            let x = f64::from(i) * 0.000_731;
+            let cap = cap_for_degraded_threshold(band(), &spec, x);
+            assert!(degraded_threshold(band(), &spec, cap) >= x, "x {x}");
+            if (x / k) * k >= x {
+                assert_eq!(cap.to_bits(), (x / k).to_bits());
+            } else {
+                raised += 1;
+                assert!(degraded_threshold(band(), &spec, cap.next_down()) < x);
+            }
+        }
+        assert!(raised > 100, "only {raised} quotients fell short");
+        // With p > 0 the inverse is the identity.
+        assert_eq!(cap_for_degraded_threshold(band(), &cos(0.6), 4.2), 4.2);
     }
 
     #[test]

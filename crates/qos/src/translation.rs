@@ -13,16 +13,18 @@
 use serde::{Deserialize, Serialize};
 
 use ropus_obs::ObsCtx;
+use ropus_trace::kernels::BlockMax;
 use ropus_trace::runs::{first_full_window, min_in_range, run_stats, runs_where};
 use ropus_trace::stats::percentile_upper_rank;
-use ropus_trace::{Trace, TraceError};
+use ropus_trace::{Calendar, Trace, TraceError};
 
 pub use ropus_trace::kernels::CosSplit;
 
 use crate::portfolio::{
     breakpoint, cap_for_degraded_threshold, degraded_threshold, worst_case_utilization,
 };
-use crate::{units, AppQos, CosSpec, QosError};
+use crate::units::{self, least_passing};
+use crate::{AppQos, CosSpec, QosError};
 
 /// Result of translating one application's demand onto the two CoS.
 ///
@@ -169,16 +171,20 @@ pub fn translate(
     qos.validate()?;
     let band = qos.band();
     let p = breakpoint(band, cos2);
-    let d_max = demand.peak();
+    let calendar = demand.calendar();
+    // One pass indexes the demand's week blocks and finds `D_max`; every
+    // later scan reads only the blocks that can hold a sample it counts.
+    let blocks = BlockMax::new(demand.samples(), calendar.slots_per_week());
+    let d_max = blocks.peak();
 
     // Step 2 (formulas 2-3): the M_degr percentile relaxation.
-    let d_cap_mdegr = demand_cap(demand, d_max, qos);
+    let d_cap_mdegr = demand_cap(&blocks, qos);
 
     // Step 3 (formulas 6-11): the T_degr contiguous-time analysis.
     let (mut d_new_max, mut iterations) =
         match qos.degradation().and_then(|d| d.time_limit_minutes()) {
             Some(minutes) if d_max > 0.0 => {
-                enforce_time_limit(demand, qos, cos2, d_cap_mdegr, minutes)?
+                enforce_time_limit(&blocks, calendar, qos, cos2, d_cap_mdegr, minutes)?
             }
             _ => (d_cap_mdegr, 0),
         };
@@ -205,7 +211,6 @@ pub fn translate(
 
     // The per-class allocation requirements, as a split of the demand.
     let burst_factor = band.burst_factor();
-    let calendar = demand.calendar();
     // lint:allow(unit-float-eq): exact zero selects the `p = 0` arm (the
     // breakpoint formula clamps to literal 0.0); a tolerance test would
     // change results. That arm is `min(d, cap) · factor`, and its
@@ -233,11 +238,9 @@ pub fn translate(
         }
     }
 
-    // Worst-case outcome statistics, in one pass over the demand.
+    // Worst-case outcome statistics, from the blocks above the threshold.
     let threshold = degraded_threshold(band, cos2, d_new_max);
-    let degraded = run_stats(demand.samples(), calendar.slots_per_week(), |d| {
-        d > threshold
-    });
+    let degraded = run_stats(&blocks, threshold);
     let degraded_fraction = units::count(degraded.count) / units::count(demand.len());
     let longest_degraded_minutes = (degraded.longest_run as u32) * calendar.slot_minutes();
     let max_worst_case_utilization = if d_max > 0.0 {
@@ -281,34 +284,50 @@ pub fn translate(
 /// larger `D_max · U_high / U_degr` needed to keep the worst observation at
 /// or below `U_degr`.
 ///
-/// `d_max` is the demand's peak, `demand.peak()`: [`translate`] scans for
-/// it once and shares it with this cap.
+/// `blocks` indexes the demand's samples; its peak is `D_max`.
 ///
 /// `D_M%` is the upper nearest-rank percentile (at most `M_degr` of the
 /// measurements sit strictly above it), but the cap needs it only when
 /// `A_ok >= A_degr`. That test, `v / U_high >= A_degr`, is monotone in
 /// the sample `v`, so it holds on the top `c` samples of the sorted
-/// demand and nowhere else. One count of `c` decides the branch: with
-/// `rank` the percentile's index, `c < n − rank` means formula 3 wins
-/// and no order statistic is needed; otherwise `D_M%` is element
-/// `rank − (n − c)` among those `c` samples alone. The result is the same
-/// order statistic, bit for bit, as selecting over the whole demand.
-pub fn demand_cap(demand: &Trace, d_max: f64, qos: &AppQos) -> f64 {
+/// demand and nowhere else. It is evaluated as `v >= x0`, with `x0` the
+/// smallest `f64` that passes it: the same samples, with no division
+/// per sample, and blocks whose maximum is below `x0` hold none of them.
+/// One count of `c` decides the branch: with `rank` the percentile's
+/// index, `c < n − rank` means formula 3 wins and no order statistic is
+/// needed; otherwise `D_M%` is element `rank − (n − c)` among those `c`
+/// samples alone. The result is the same order statistic, bit for bit,
+/// as selecting over the whole demand.
+pub fn demand_cap(blocks: &BlockMax<'_>, qos: &AppQos) -> f64 {
+    let d_max = blocks.peak();
     let Some(degr) = qos.degradation() else {
         return d_max;
     };
     let high = qos.band().high();
     let a_degr = d_max / degr.u_degr();
-    let covers = |v: f64| v / high >= a_degr;
-    let samples = demand.samples();
-    let rank = percentile_upper_rank(samples.len(), degr.acceptable_percentile());
-    let count = samples.iter().filter(|&&v| covers(v)).count();
-    let below = samples.len() - count;
+    // `A_degr` overflows for a peak near `f64::MAX`; the passing samples
+    // are then those whose quotient overflows too, from near `MAX · U_high`.
+    let start = (a_degr * high).min(f64::MAX * high);
+    let x0 = least_passing(start, |v| v / high >= a_degr);
+    let covering_blocks = || {
+        blocks
+            .blocks()
+            .filter(move |&(_, max)| max >= x0)
+            .map(|(block, _)| block)
+    };
+    let n = blocks.samples().len();
+    let rank = percentile_upper_rank(n, degr.acceptable_percentile());
+    let count: usize = covering_blocks()
+        .map(|block| block.iter().filter(|&&v| v >= x0).count())
+        .sum();
+    let below = n - count;
     if rank < below {
         return d_max * high / degr.u_degr();
     }
     let mut covering = Vec::with_capacity(count);
-    covering.extend(samples.iter().copied().filter(|&v| covers(v)));
+    for block in covering_blocks() {
+        covering.extend(block.iter().copied().filter(|&v| v >= x0));
+    }
     let (_, d_m, _) = covering.select_nth_unstable_by(rank - below, f64::total_cmp);
     *d_m
 }
@@ -324,24 +343,29 @@ pub fn demand_cap(demand: &Trace, d_max: f64, qos: &AppQos) -> f64 {
 /// strictly each iteration, so the analysis terminates. Raising the cap
 /// only shrinks the degraded set, so no window before the last violating
 /// one can become full: each search resumes at that window's start.
+/// `blocks` indexes the demand's samples, aligned to `calendar`; each
+/// search reads only the blocks above the current threshold.
 ///
 /// Returns the final cap and the number of iterations.
 ///
 /// # Errors
 ///
 /// Returns [`QosError::TimeLimitDiverged`] if the analysis somehow fails to
-/// make progress (defensive; unreachable for valid inputs).
+/// make progress (defensive; unreachable for valid inputs, since the
+/// threshold inverse always makes the window's smallest demand
+/// non-degraded).
 pub fn enforce_time_limit(
-    demand: &Trace,
+    blocks: &BlockMax<'_>,
+    calendar: Calendar,
     qos: &AppQos,
     cos2: &CosSpec,
     initial_cap: f64,
     time_limit_minutes: u32,
 ) -> Result<(f64, usize), QosError> {
     let band = qos.band();
-    let r = demand.calendar().slots_in_minutes(time_limit_minutes);
+    let r = calendar.slots_in_minutes(time_limit_minutes);
     let window = r + 1;
-    let samples = demand.samples();
+    let samples = blocks.samples();
 
     let mut cap = initial_cap;
     let mut iterations = 0usize;
@@ -350,11 +374,7 @@ pub fn enforce_time_limit(
 
     loop {
         let threshold = degraded_threshold(band, cos2, cap);
-        let Some(start) = samples
-            .get(from..)
-            .and_then(|rest| first_full_window(rest, window, |d| d > threshold))
-            .map(|offset| from + offset)
-        else {
+        let Some(start) = first_full_window(blocks, from, window, threshold) else {
             return Ok((cap, iterations));
         };
         from = start;
@@ -365,8 +385,8 @@ pub fn enforce_time_limit(
         let d_min_degr = min_in_range(samples, start, window);
         // Formula (10); with the formula-(1) breakpoint and p > 0 this is
         // exactly d_min_degr, and with p = 0 it is formula (11). Computed
-        // via the exact threshold inverse so it cannot disagree with the
-        // degraded test by a rounding wobble.
+        // via the threshold inverse, whose cap always makes d_min_degr
+        // non-degraded, so a rounding wobble cannot pick this window again.
         let candidate = cap_for_degraded_threshold(band, cos2, d_min_degr);
         if candidate <= cap {
             // d_min_degr > threshold guarantees candidate > cap; reaching
@@ -392,7 +412,8 @@ pub fn enforce_time_limit(
 /// # Errors
 ///
 /// Returns [`QosError::TimeLimitDiverged`] if no progress is made
-/// (defensive; unreachable for valid inputs).
+/// (defensive; unreachable for valid inputs, since the threshold inverse
+/// always makes the eliminated epoch's peak non-degraded).
 pub fn enforce_epoch_budget(
     demand: &Trace,
     qos: &AppQos,
@@ -456,6 +477,10 @@ mod tests {
 
     fn band() -> UtilizationBand {
         UtilizationBand::new(0.5, 0.66).unwrap()
+    }
+
+    fn index(t: &Trace) -> BlockMax<'_> {
+        BlockMax::new(t.samples(), t.calendar().slots_per_week())
     }
 
     fn qos_no_limit() -> AppQos {
@@ -535,16 +560,74 @@ mod tests {
         // 3% of points at 1.3, the rest at 1.0: D_97% = 1.0, A_ok = 1.515,
         // A_degr = 1.3/0.9 = 1.444 -> percentile wins.
         let t = spiky(3000, 1.3, 34);
-        let cap = demand_cap(&t, t.peak(), &qos_no_limit());
+        let cap = demand_cap(&index(&t), &qos_no_limit());
         let d97 = t.percentile(97.0);
         assert_eq!(cap, d97);
+    }
+
+    #[test]
+    fn mdegr_cap_counts_samples_at_the_covering_boundary() {
+        // One week: `D_max` in block 0 and `k` samples at the covering
+        // boundary `x0`, each the maximum of its own block beside its
+        // lower ulp neighbour, on a floor of 1.0. Around k = 60 the
+        // percentile rank crosses them, so the count must read every
+        // block whose maximum is exactly `x0`; the cap must equal formulas
+        // 2-3 over the sorted percentile, division and all.
+        let qos = qos_no_limit();
+        let high = band().high();
+        let mut distinct = 0;
+        for d_max in [10.0, 7.3, 3.3, 1.7, 5.9, 2.45] {
+            let a_degr = d_max / 0.9;
+            let x0 = least_passing(a_degr * high, |v| v / high >= a_degr);
+            assert!(x0 / high >= a_degr && x0.next_down() / high < a_degr);
+            let formula_3 = d_max * high / 0.9;
+            distinct += usize::from(formula_3.to_bits() != x0.to_bits());
+            for k in 57..=62 {
+                let mut samples = vec![1.0; 2016];
+                samples[0] = d_max;
+                for block in 1..=k {
+                    samples[block * 32] = x0.next_down();
+                    samples[block * 32 + 17] = x0;
+                }
+                let t = Trace::from_samples(cal(), samples).unwrap();
+                let d_m = t.percentile_upper(97.0);
+                let expected = if d_m / high >= a_degr { d_m } else { formula_3 };
+                let cap = demand_cap(&index(&t), &qos);
+                assert_eq!(cap.to_bits(), expected.to_bits(), "D_max {d_max}, k {k}");
+            }
+        }
+        assert!(distinct > 0, "no case tells x0 from formula 3");
+    }
+
+    #[test]
+    fn mdegr_cap_handles_a_peak_whose_a_degr_overflows() {
+        // `D_max / U_degr` is infinite; the cap still equals formulas 2-3
+        // over the sorted percentile, and the boundary search ends.
+        let qos = qos_no_limit();
+        let high = band().high();
+        for tall in [0, 1, 60, 100] {
+            let mut samples = vec![1.0; 2016];
+            for (i, s) in samples.iter_mut().take(tall).enumerate() {
+                *s = if i % 2 == 0 { f64::MAX } else { f64::MAX * 0.7 };
+            }
+            samples[2015] = f64::MAX;
+            let t = Trace::from_samples(cal(), samples).unwrap();
+            let d_m = t.percentile_upper(97.0);
+            let expected = if d_m / high >= f64::MAX / 0.9 {
+                d_m
+            } else {
+                f64::MAX * high / 0.9
+            };
+            let cap = demand_cap(&index(&t), &qos);
+            assert_eq!(cap.to_bits(), expected.to_bits(), "{tall} tall samples");
+        }
     }
 
     #[test]
     fn mdegr_cap_uses_degraded_bound_for_tall_spikes() {
         // Spikes of 10x: A_degr = 10/0.9 = 11.1 > A_ok = 1/0.66.
         let t = spiky(3000, 10.0, 100);
-        let cap = demand_cap(&t, t.peak(), &qos_no_limit());
+        let cap = demand_cap(&index(&t), &qos_no_limit());
         assert!((cap - 10.0 * 0.66 / 0.9).abs() < 1e-9);
         // This is the MaxCapReduction upper bound: 1 - U_high/U_degr.
         let tr = translate(&t, &qos_no_limit(), &cos(0.6), ObsCtx::none()).unwrap();

@@ -38,6 +38,28 @@ pub fn count(n: usize) -> f64 {
     n as f64
 }
 
+/// The smallest `f64` for which `test` holds, found by ulp steps from
+/// `start`: down while the next float below still passes, otherwise up
+/// until one passes.
+///
+/// `test` must be monotone over the floats (false below some point, true
+/// from it on) and hold somewhere at or above `start`, so the search ends.
+/// Callers start within a few ulps of the answer. A start that fails
+/// needs only up steps, since every float below it fails too.
+pub fn least_passing(start: f64, test: impl Fn(f64) -> bool) -> f64 {
+    let mut x = start;
+    if test(x) {
+        while test(x.next_down()) {
+            x = x.next_down();
+        }
+    } else {
+        while !test(x) {
+            x = x.next_up();
+        }
+    }
+    x
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,6 +77,21 @@ mod tests {
         assert!(is_zero(-0.0));
         assert!(is_zero(1e-12));
         assert!(!is_zero(1e-6));
+    }
+
+    #[test]
+    fn least_passing_steps_to_the_boundary_from_either_side() {
+        let boundary = 1.5f64;
+        let at_least = |x: f64| x >= boundary;
+        let above = boundary.next_up().next_up().next_up();
+        let below = boundary.next_down().next_down();
+        for start in [boundary, above, below] {
+            assert_eq!(least_passing(start, at_least).to_bits(), boundary.to_bits());
+        }
+        // A division test: the smallest `v` with `v / h >= a`.
+        let (h, a) = (0.66, 7.0 / 0.9);
+        let x0 = least_passing(a * h, |v| v / h >= a);
+        assert!(x0 / h >= a && x0.next_down() / h < a);
     }
 
     #[test]

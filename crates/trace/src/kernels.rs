@@ -18,6 +18,12 @@
 //!   chunk scheduling, or platform — so results are deterministic and
 //!   reproducible everywhere.
 //!
+//! The maximum kernels ([`peak`], [`BlockMax`]) also run in lanes. A
+//! maximum of non-NaN samples does not depend on association except in
+//! the sign of a zero, and every lane starts at `+0.0` and keeps its
+//! value on a tie, so both equal the scalar `fold(0.0, f64::max)` bit
+//! for bit.
+//!
 //! The sorting kernel [`sorted`] is the single sanctioned
 //! sample-buffer copy for order statistics; [`Trace`](crate::Trace) callers
 //! should prefer the cached [`Trace::sorted_samples`](crate::Trace::sorted_samples)
@@ -513,6 +519,112 @@ pub fn variance(values: &[f64]) -> f64 {
     (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail) / values.len() as f64
 }
 
+/// `v` when it is strictly larger than `m`, else `m`: one `maxpd`, and
+/// a tie keeps the running value.
+#[inline(always)]
+fn larger(m: f64, v: f64) -> f64 {
+    if v > m {
+        v
+    } else {
+        m
+    }
+}
+
+/// Largest of `values` and `+0.0`, taken in [`LANES`] lanes.
+///
+/// Equal to `values.iter().copied().fold(0.0, f64::max)` bit for bit
+/// for non-NaN samples: a larger sample always wins, and an all-zero
+/// slice gives `+0.0` whatever the signs of its zeros. Returns `+0.0`
+/// for an empty slice.
+pub fn peak(values: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; LANES];
+    let chunks = values.chunks_exact(LANES);
+    let tail = chunks.remainder().iter().fold(0.0, |m, &v| larger(m, v));
+    for chunk in chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = larger(*lane, v);
+        }
+    }
+    lanes.iter().fold(tail, |m, &lane| larger(m, lane))
+}
+
+/// Slots per block of a [`BlockMax`] index.
+pub const BLOCK: usize = 32;
+
+/// The peak of a sample slice and the [`peak`] of every [`BLOCK`]-slot
+/// block, built in one pass.
+///
+/// Blocks are laid out chunk by chunk (`chunk_len` samples, a week for a
+/// trace), so no block straddles two chunks: a chunk whose length is not
+/// a multiple of [`BLOCK`] ends in a short block, as does the last
+/// chunk. A scan for samples above a threshold reads only the blocks
+/// whose maximum exceeds it; every other block holds no such sample.
+#[derive(Debug, Clone)]
+pub struct BlockMax<'a> {
+    samples: &'a [f64],
+    chunk_len: usize,
+    peak: f64,
+    maxima: Vec<f64>,
+}
+
+impl<'a> BlockMax<'a> {
+    /// Indexes `samples` in `chunk_len`-sample chunks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_len` is 0.
+    pub fn new(samples: &'a [f64], chunk_len: usize) -> Self {
+        assert!(chunk_len > 0, "chunk length must be positive");
+        let per_chunk = chunk_len.div_ceil(BLOCK);
+        let blocks =
+            samples.len() / chunk_len * per_chunk + (samples.len() % chunk_len).div_ceil(BLOCK);
+        let mut maxima = Vec::with_capacity(blocks);
+        for chunk in samples.chunks(chunk_len) {
+            maxima.extend(chunk.chunks(BLOCK).map(peak));
+        }
+        let peak = maxima.iter().fold(0.0, |m, &v| larger(m, v));
+        BlockMax {
+            samples,
+            chunk_len,
+            peak,
+            maxima,
+        }
+    }
+
+    /// The indexed samples.
+    pub fn samples(&self) -> &'a [f64] {
+        self.samples
+    }
+
+    /// Samples per chunk.
+    pub fn chunk_len(&self) -> usize {
+        self.chunk_len
+    }
+
+    /// Largest sample, equal to [`peak`] of the whole slice.
+    pub fn peak(&self) -> f64 {
+        self.peak
+    }
+
+    /// Every block's maximum, chunk by chunk.
+    pub fn maxima(&self) -> &[f64] {
+        &self.maxima
+    }
+
+    /// Each chunk's samples beside its blocks' maxima, in slot order.
+    pub fn chunks(&self) -> impl Iterator<Item = (&'a [f64], &[f64])> + '_ {
+        self.samples
+            .chunks(self.chunk_len)
+            .zip(self.maxima.chunks(self.chunk_len.div_ceil(BLOCK)))
+    }
+
+    /// Each block's samples beside its maximum, in slot order.
+    pub fn blocks(&self) -> impl Iterator<Item = (&'a [f64], f64)> + '_ {
+        self.chunks()
+            .flat_map(|(chunk, maxima)| chunk.chunks(BLOCK).zip(maxima.iter().copied()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,6 +799,64 @@ mod tests {
                 columns.totals_into(&mut totals, false);
                 prop_assert_eq!(bits(&totals), bits(&without));
             }
+        }
+    }
+
+    fn fold_peak(values: &[f64]) -> f64 {
+        values.iter().copied().fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn peak_of_signed_zeros_is_positive_zero() {
+        for values in [&[-0.0; 9][..], &[0.0, -0.0, -0.0, 0.0, -0.0], &[-0.0], &[]] {
+            assert_eq!(peak(values).to_bits(), 0.0f64.to_bits());
+            assert_eq!(peak(values).to_bits(), fold_peak(values).to_bits());
+            let index = BlockMax::new(values, 3);
+            assert_eq!(index.peak().to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn blocks_never_straddle_a_chunk() {
+        // A 168-slot hourly week is five full blocks and an 8-slot one.
+        let samples: Vec<f64> = (0..400).map(f64::from).collect();
+        let index = BlockMax::new(&samples, 168);
+        let lens: Vec<usize> = index.blocks().map(|(block, _)| block.len()).collect();
+        let week = [32, 32, 32, 32, 32, 8];
+        let tail = [32, 32];
+        assert_eq!(lens, [&week[..], &week[..], &tail[..]].concat());
+        // The maximum of each block is its last sample.
+        let last: Vec<f64> = index
+            .blocks()
+            .map(|(block, _)| block[block.len() - 1])
+            .collect();
+        assert_eq!(index.maxima(), &last[..]);
+        assert_eq!(index.maxima()[5], 167.0);
+        assert_eq!(index.peak(), 399.0);
+        assert_eq!(index.chunks().count(), 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lane peak and every block maximum equal the scalar fold,
+        /// bit for bit, over signed zeros and subnormals, and blocks tile
+        /// each chunk in order.
+        #[test]
+        fn lane_maxima_match_the_scalar_fold(
+            values in proptest::collection::vec(sample(), 0..300),
+            chunk_len in (0usize..4, 1usize..80).prop_map(|(k, n)| [n, BLOCK, 168, n][k]),
+        ) {
+            prop_assert_eq!(peak(&values).to_bits(), fold_peak(&values).to_bits());
+            let index = BlockMax::new(&values, chunk_len);
+            prop_assert_eq!(index.peak().to_bits(), fold_peak(&values).to_bits());
+            let expected: Vec<u64> = values
+                .chunks(chunk_len)
+                .flat_map(|chunk| chunk.chunks(BLOCK).map(|block| fold_peak(block).to_bits()))
+                .collect();
+            prop_assert_eq!(bits(index.maxima()), expected);
+            let tiled: Vec<f64> = index.blocks().flat_map(|(block, _)| block.to_vec()).collect();
+            prop_assert_eq!(bits(&tiled), bits(&values));
         }
     }
 

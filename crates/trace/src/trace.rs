@@ -231,7 +231,7 @@ impl Trace {
 
     /// Largest sample (the paper's `D_max`).
     pub fn peak(&self) -> f64 {
-        self.samples().iter().copied().fold(0.0, f64::max)
+        kernels::peak(self.samples())
     }
 
     /// Arithmetic mean of the samples.
@@ -617,7 +617,7 @@ impl<'a> TraceView<'a> {
 
     /// Largest sample.
     pub fn peak(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
+        kernels::peak(self.samples)
     }
 
     /// Arithmetic mean of the samples.

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use ropus_obs::SloContract;
 use ropus_qos::AppQos;
+use ropus_trace::kernels::BlockMax;
 use ropus_trace::runs::run_stats;
 use ropus_trace::Trace;
 
@@ -117,11 +118,10 @@ pub fn utilization_of_allocation(served: f64, granted: f64) -> f64 {
 pub fn audit(utilization: &Trace, qos: &AppQos) -> SloAudit {
     let band = qos.band();
     let calendar = utilization.calendar();
-    let degraded = run_stats(utilization.samples(), calendar.slots_per_week(), |u| {
-        u > band.high()
-    });
+    let blocks = BlockMax::new(utilization.samples(), calendar.slots_per_week());
+    let degraded = run_stats(&blocks, band.high());
     let degraded_fraction = degraded.count as f64 / utilization.len() as f64;
-    let max_utilization = utilization.peak();
+    let max_utilization = blocks.peak();
     let longest_degraded_minutes = degraded.longest_run as u32 * calendar.slot_minutes();
     let max_epochs_per_week = degraded.max_runs_per_chunk;
 

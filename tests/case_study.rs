@@ -163,3 +163,26 @@ fn framework_and_case_study_translators_agree() {
         }
     }
 }
+
+#[test]
+fn time_limit_converges_where_the_plain_threshold_quotient_fell_short() {
+    // Case 5 (M_degr 3%, θ 0.95, T_degr 30) on this fleet breaks one of
+    // app-64's windows at a demand `x` with `(x / k) · k < x`: a cap of the
+    // plain quotient `x / k` leaves `x` degraded, the search finds the same
+    // window again, and the analysis stops with `TimeLimitDiverged`. The
+    // inverse steps the cap up to the smallest one that clears `x`.
+    let fleet = case_study_fleet(&FleetConfig {
+        seed: 9,
+        apps: 100,
+        ..FleetConfig::paper()
+    });
+    let case = &CaseConfig::table1()[4];
+    assert_eq!(
+        (case.m_degr, case.theta, case.t_degr),
+        (0.03, 0.95, Some(30))
+    );
+    let translated = translate_fleet(&fleet, case).unwrap();
+    let app = translated.iter().find(|t| t.name == "app-64").unwrap();
+    assert!(app.report.time_limit_iterations > 0);
+    assert!(app.report.longest_degraded_minutes <= 30);
+}

@@ -398,7 +398,8 @@ proptest! {
             } else {
                 d_max * band.high() / u_degr
             };
-            prop_assert_eq!(demand_cap(trace, d_max, &qos).to_bits(), expected.to_bits());
+            let index = kernels::BlockMax::new(trace.samples(), trace.calendar().slots_per_week());
+            prop_assert_eq!(demand_cap(&index, &qos).to_bits(), expected.to_bits());
         }
     }
 
