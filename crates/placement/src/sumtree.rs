@@ -295,7 +295,7 @@ impl SumTree {
                 }
                 continue;
             }
-            let own_mem = u32::from(self.nodes[idx as usize].workload.memory_view().is_some());
+            let own_mem = u32::from(self.nodes[idx as usize].workload.memory().is_some());
             let mem_count = own_mem
                 + left.map_or(0, |c| self.nodes[c as usize].mem_count)
                 + right.map_or(0, |c| self.nodes[c as usize].mem_count);
@@ -459,7 +459,7 @@ impl SumTree {
 
     fn new_node(&mut self, workload: Workload) -> u32 {
         let prio = priority(workload.name());
-        let mem_count = u32::from(workload.memory_view().is_some());
+        let mem_count = u32::from(workload.memory().is_some());
         let node = Node {
             workload,
             prio,
@@ -621,7 +621,7 @@ impl SumTree {
                 self.spare.give(mem);
             }
         }
-        let own_mem = u32::from(self.nodes[idx as usize].workload.memory_view().is_some());
+        let own_mem = u32::from(self.nodes[idx as usize].workload.memory().is_some());
         let mem_count = own_mem
             + left.map_or(0, |c| self.nodes[c as usize].mem_count)
             + right.map_or(0, |c| self.nodes[c as usize].mem_count);

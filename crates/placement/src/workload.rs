@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize, Value};
 
 use ropus_qos::translation::{CosSplit, Translation};
 use ropus_trace::kernels::Columns;
-use ropus_trace::{Calendar, Trace, TraceError, TraceView};
+use ropus_trace::{Calendar, Trace, TraceError};
 
 use crate::PlacementError;
 
@@ -333,11 +333,6 @@ impl Workload {
     /// content-id test; `==` cannot tell `-0.0` from `+0.0`).
     pub(crate) fn same_class_bits(&self, other: &Workload) -> bool {
         self.classes_match(other, |a, b| a.to_bits() == b.to_bits())
-    }
-
-    /// Borrowed view of the memory-footprint trace, if one is attached.
-    pub fn memory_view(&self) -> Option<TraceView<'_>> {
-        self.memory.as_ref().map(Trace::view)
     }
 
     /// Peak of the CoS1 trace — the workload's contribution to the

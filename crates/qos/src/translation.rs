@@ -469,7 +469,8 @@ pub fn enforce_epoch_budget(
 mod tests {
     use super::*;
     use crate::{DegradationSpec, UtilizationBand};
-    use ropus_trace::Calendar;
+    use proptest::prelude::*;
+    use ropus_trace::{stats, Calendar};
 
     fn cal() -> Calendar {
         Calendar::five_minute()
@@ -561,7 +562,7 @@ mod tests {
         // A_degr = 1.3/0.9 = 1.444 -> percentile wins.
         let t = spiky(3000, 1.3, 34);
         let cap = demand_cap(&index(&t), &qos_no_limit());
-        let d97 = t.percentile(97.0);
+        let d97 = stats::percentile(t.samples(), 97.0);
         assert_eq!(cap, d97);
     }
 
@@ -590,7 +591,7 @@ mod tests {
                     samples[block * 32 + 17] = x0;
                 }
                 let t = Trace::from_samples(cal(), samples).unwrap();
-                let d_m = t.percentile_upper(97.0);
+                let d_m = stats::percentile_upper(t.samples(), 97.0);
                 let expected = if d_m / high >= a_degr { d_m } else { formula_3 };
                 let cap = demand_cap(&index(&t), &qos);
                 assert_eq!(cap.to_bits(), expected.to_bits(), "D_max {d_max}, k {k}");
@@ -612,7 +613,7 @@ mod tests {
             }
             samples[2015] = f64::MAX;
             let t = Trace::from_samples(cal(), samples).unwrap();
-            let d_m = t.percentile_upper(97.0);
+            let d_m = stats::percentile_upper(t.samples(), 97.0);
             let expected = if d_m / high >= f64::MAX / 0.9 {
                 d_m
             } else {
@@ -860,5 +861,97 @@ mod tests {
             assert!((total.samples()[i] - s).abs() < 1e-12);
         }
         assert!((tr.peak_allocation() - total.peak()).abs() < 1e-9);
+    }
+
+    /// One or two weeks of hourly demand: `-0.0`, `+0.0`, four levels
+    /// that tie across many slots, and spikes up to 1000; each week may
+    /// instead be all zeros of mixed sign.
+    fn hourly_demand() -> impl Strategy<Value = Trace> {
+        let slot = (0u32..10, 0usize..4);
+        (
+            1usize..=2,
+            proptest::collection::vec(slot, 2 * 168),
+            (0u32..2, 0u32..2),
+        )
+            .prop_map(|(weeks, slots, zero_weeks)| {
+                let samples: Vec<f64> = slots[..weeks * 168]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(kind, level))| {
+                        let zero_week = [zero_weeks.0, zero_weeks.1][i / 168] == 1;
+                        match kind {
+                            _ if zero_week => [0.0, -0.0][i % 2],
+                            0 => -0.0,
+                            1 => 0.0,
+                            2..=7 => [1.0, 1.5, 2.0, 3.0][level],
+                            _ => [8.0, 12.0, 40.0, 1e3][level],
+                        }
+                    })
+                    .collect();
+                Trace::from_samples(Calendar::new(60).unwrap(), samples).unwrap()
+            })
+    }
+
+    /// A valid policy and CoS2 commitment: with `p_zero`, a narrow band
+    /// (`U_low/U_high` in 0.8..0.95) under `θ >= 0.95`, so `p = 0`;
+    /// otherwise `θ` below the band ratio, so `p > 0`. `T_degr` and the
+    /// epoch budget are each on or off; a zero budget comes with
+    /// `M_degr = 0`, the only allowance it is valid with.
+    fn policy() -> impl Strategy<Value = (AppQos, CosSpec)> {
+        (
+            0u32..2,
+            (0.3f64..0.9, 0.0f64..1.0, 0.0f64..1.0),
+            (0.0f64..0.1, 0.05f64..1.0),
+            (
+                proptest::option::of(1u32..480),
+                proptest::option::of(0u32..4),
+            ),
+        )
+            .prop_map(|(p_zero, (high, x, y), (m_degr, u), (t_degr, budget))| {
+                let p_zero = p_zero == 1;
+                let (ratio, theta) = if p_zero {
+                    (0.8 + 0.15 * x, 0.95 + 0.05 * y)
+                } else {
+                    let theta = 0.1 + 0.8 * y;
+                    (theta + (1.0 - theta) * (0.05 + 0.9 * x), theta)
+                };
+                let band = UtilizationBand::new(high * ratio, high).unwrap();
+                let m_degr = if budget == Some(0) { 0.0 } else { m_degr };
+                let mut spec =
+                    DegradationSpec::new(m_degr, high + (0.99 - high) * u, t_degr).unwrap();
+                if let Some(budget) = budget {
+                    spec = spec.with_epoch_budget(budget).unwrap();
+                }
+                let cos2 = CosSpec::new(theta, 60).unwrap();
+                assert_eq!(breakpoint(band, &cos2) == 0.0, p_zero);
+                (AppQos::new(band, Some(spec)), cos2)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `translate` is total over valid policies: it returns `Ok`, its
+        /// report passes `check_report`, and the enforced `T_degr` and
+        /// epoch budget hold in the report.
+        #[test]
+        fn translation_is_total_and_meets_its_limits(
+            demand in hourly_demand(),
+            policy in policy(),
+        ) {
+            let (qos, cos2) = policy;
+            let tr = translate(&demand, &qos, &cos2, ObsCtx::none());
+            prop_assert!(tr.is_ok(), "{:?}", tr.err());
+            let report = tr.unwrap().report;
+            let check = crate::analysis::check_report(&qos, &report);
+            prop_assert!(check.is_ok(), "{check:?}");
+            let degr = qos.degradation().unwrap();
+            if let Some(minutes) = degr.time_limit_minutes() {
+                prop_assert!(report.longest_degraded_minutes <= minutes, "{report:?}");
+            }
+            if let Some(budget) = degr.max_epochs_per_week() {
+                prop_assert!(report.max_degraded_epochs_per_week <= budget as usize, "{report:?}");
+            }
+        }
     }
 }

@@ -201,7 +201,7 @@ mod tests {
     fn bursty_apps_have_heavier_tails_than_smooth_apps() {
         let fleet = case_study_fleet(&FleetConfig::paper());
         // Ratio of peak to 97th percentile, the Fig. 6 signature.
-        let tail_ratio = |t: &Trace| t.peak() / t.percentile(97.0);
+        let tail_ratio = |t: &Trace| t.peak() / stats::percentile(t.samples(), 97.0);
         let bursty: Vec<f64> = fleet[..10].iter().map(|a| tail_ratio(&a.trace)).collect();
         let smooth: Vec<f64> = fleet[10..].iter().map(|a| tail_ratio(&a.trace)).collect();
         assert!(

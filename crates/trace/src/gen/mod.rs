@@ -356,7 +356,7 @@ mod tests {
             })
             .build();
         let t = generate(&p, cal, 4, &mut Rng::seed_from_u64(11));
-        let p97 = t.percentile(97.0);
+        let p97 = crate::stats::percentile(t.samples(), 97.0);
         let peak = t.peak();
         assert!(
             peak > 2.0 * p97,
@@ -372,7 +372,7 @@ mod tests {
             .noise_cv(0.1)
             .build();
         let t = generate(&p, cal, 4, &mut Rng::seed_from_u64(12));
-        assert!(t.peak() < 2.0 * t.percentile(97.0));
+        assert!(t.peak() < 2.0 * crate::stats::percentile(t.samples(), 97.0));
     }
 
     #[test]

@@ -25,9 +25,7 @@
 //! for bit.
 //!
 //! The sorting kernel [`sorted`] is the single sanctioned
-//! sample-buffer copy for order statistics; [`Trace`](crate::Trace) callers
-//! should prefer the cached [`Trace::sorted_samples`](crate::Trace::sorted_samples)
-//! view, which pays this copy once per window.
+//! sample-buffer copy for order statistics.
 
 /// Number of independent accumulator lanes used by the reduction kernels.
 ///
@@ -464,8 +462,9 @@ fn add_two<const COS1: bool, const WRITE: bool>(
 /// order), the shared primitive behind every percentile query.
 ///
 /// This is the one deliberate O(len) copy in the statistics path: order
-/// statistics need owned, mutable storage. [`Trace`](crate::Trace) caches
-/// the result per window so repeated percentile queries pay it once.
+/// statistics need owned, mutable storage. Callers that need several
+/// percentiles of one slice sort once and query
+/// [`percentile_of_sorted`](crate::stats::percentile_of_sorted).
 pub fn sorted(values: &[f64]) -> Vec<f64> {
     let mut owned = values.to_vec();
     owned.sort_by(f64::total_cmp);

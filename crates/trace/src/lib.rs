@@ -8,16 +8,12 @@
 //! * [`Trace`] — a validated, non-negative time series of demand (or
 //!   allocation) observations aligned to a calendar, backed by a shared
 //!   immutable buffer so clones and weekly windows are allocation-free;
-//! * [`TraceView`] — the borrowed, lifetime-bound companion of [`Trace`]
-//!   for layers that only read samples;
-//! * [`FleetMatrix`] — columnar, slot-major storage packing a whole
-//!   fleet's traces into one contiguous buffer with O(1) per-app `Trace`
-//!   windows;
+//!   layers that only read borrow its samples as a `&[f64]` slice;
 //! * [`kernels`] — the chunked, auto-vectorizable slot kernels
 //!   (aggregate, cap/scale, CoS split, lane-chunked reductions) every hot
 //!   loop funnels through;
-//! * [`stats`] — percentiles, summaries and the distribution samplers used
-//!   by the generator;
+//! * [`stats`] — percentiles, moments and correlation over sample
+//!   slices;
 //! * [`rng`] — a deterministic, splittable PRNG so experiments are
 //!   bit-reproducible across platforms;
 //! * [`runs`] — run-length analysis used by the time-limited-degradation
@@ -54,7 +50,6 @@
 
 mod calendar;
 mod error;
-mod matrix;
 mod trace;
 
 pub mod gen;
@@ -67,5 +62,4 @@ pub mod stats;
 
 pub use calendar::{Calendar, DayOfWeek, SlotPosition};
 pub use error::TraceError;
-pub use matrix::FleetMatrix;
-pub use trace::{Trace, TraceView};
+pub use trace::Trace;

@@ -4,8 +4,6 @@
 //! (the `M`-th percentile of workload demand): linear interpolation between
 //! order statistics, with `percentile(_, 100)` equal to the maximum.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernels;
 
 /// Arithmetic mean; 0 for an empty slice. Lane-chunked: see
@@ -98,23 +96,8 @@ pub fn percentile_upper(samples: &[f64], q: f64) -> f64 {
         (0.0..=100.0).contains(&q),
         "percentile {q} outside [0, 100]"
     );
-    percentile_upper_of_sorted(&kernels::sorted(samples), q)
-}
-
-/// Upper nearest-rank percentile of an already ascending-sorted slice;
-/// the cached-sort companion of [`percentile_upper`], mirroring
-/// [`percentile_of_sorted`].
-///
-/// # Panics
-///
-/// Panics if `q` is NaN or outside `[0, 100]`.
-pub fn percentile_upper_of_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(
-        (0.0..=100.0).contains(&q),
-        "percentile {q} outside [0, 100]"
-    );
-    sorted
-        .get(percentile_upper_rank(sorted.len(), q))
+    kernels::sorted(samples)
+        .get(percentile_upper_rank(samples.len(), q))
         .copied()
         .unwrap_or(0.0)
 }
@@ -151,61 +134,6 @@ pub fn correlation(a: &[f64], b: &[f64]) -> f64 {
         return 0.0;
     }
     cov / (va.sqrt() * vb.sqrt())
-}
-
-/// Lag-`k` autocorrelation; 0 when undefined (constant series or `k >= len`).
-pub fn autocorrelation(samples: &[f64], lag: usize) -> f64 {
-    if lag >= samples.len() {
-        return 0.0;
-    }
-    let m = mean(samples);
-    let denom: f64 = samples.iter().map(|v| (v - m) * (v - m)).sum();
-    if denom == 0.0 {
-        return 0.0;
-    }
-    let numer: f64 = samples
-        .iter()
-        .zip(samples.iter().skip(lag))
-        .map(|(a, b)| (a - m) * (b - m))
-        .sum();
-    numer / denom
-}
-
-/// One-pass summary of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-}
-
-impl Summary {
-    /// Summarizes a slice; all fields are 0 for an empty slice.
-    pub fn of(samples: &[f64]) -> Summary {
-        if samples.is_empty() {
-            return Summary {
-                count: 0,
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-                std_dev: 0.0,
-            };
-        }
-        Summary {
-            count: samples.len(),
-            min: samples.iter().copied().fold(f64::INFINITY, f64::min),
-            max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            mean: mean(samples),
-            std_dev: std_dev(samples),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -304,25 +232,5 @@ mod tests {
             "length mismatch is undefined"
         );
         assert_eq!(correlation(&[1.0], &[2.0]), 0.0);
-    }
-
-    #[test]
-    fn autocorrelation_of_alternating_series_is_negative() {
-        let s = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-        assert!(autocorrelation(&s, 1) < -0.5);
-        assert_eq!(autocorrelation(&s, 10), 0.0);
-        assert_eq!(autocorrelation(&[3.0, 3.0, 3.0], 1), 0.0);
-    }
-
-    #[test]
-    fn summary_of_samples() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.mean, 2.0);
-        let empty = Summary::of(&[]);
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.max, 0.0);
     }
 }

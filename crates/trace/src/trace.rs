@@ -1,9 +1,8 @@
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
 
 use crate::kernels;
-use crate::stats;
 use crate::{Calendar, TraceError};
 
 /// A validated, non-negative time series aligned to a [`Calendar`].
@@ -26,7 +25,8 @@ use crate::{Calendar, TraceError};
 ///   statistic (and any cache keyed by workload identity, such as the
 ///   placement `FitEngine` memo) stays valid for the life of the trace.
 ///
-/// For borrowed, lifetime-bound access use [`TraceView`].
+/// Layers that only read samples borrow them as a slice via
+/// [`Trace::samples`].
 ///
 /// # Example
 ///
@@ -53,12 +53,6 @@ pub struct Trace {
     buf: Arc<Vec<f64>>,
     start: usize,
     len: usize,
-    // Lazily computed ascending sort of the *window's* samples, shared
-    // across clones through its own `Arc` (clones of one window reuse the
-    // sort; distinct windows each cache their own). Not serialized and
-    // ignored by `PartialEq`: it is derived state, recomputable from the
-    // immutable buffer at any time.
-    sorted: Arc<OnceLock<Vec<f64>>>,
 }
 
 /// Unvalidated mirror used so deserialized traces re-run the constructor
@@ -120,28 +114,19 @@ impl Trace {
             buf: Arc::new(samples),
             start: 0,
             len,
-            sorted: Arc::new(OnceLock::new()),
         })
     }
 
-    /// Creates a trace sharing an already-validated buffer. The callers are
-    /// `TraceView::to_trace`, the windowing methods, and
-    /// [`FleetMatrix::column_trace`](crate::FleetMatrix::column_trace),
-    /// whose slices come from an existing validated buffer, so
-    /// re-validation is skipped.
-    pub(crate) fn from_window(
-        calendar: Calendar,
-        buf: Arc<Vec<f64>>,
-        start: usize,
-        len: usize,
-    ) -> Self {
+    /// Creates a trace sharing an already-validated buffer. The caller is
+    /// [`weeks_range`](Self::weeks_range), whose window lies inside an
+    /// existing validated buffer, so re-validation is skipped.
+    fn from_window(calendar: Calendar, buf: Arc<Vec<f64>>, start: usize, len: usize) -> Self {
         debug_assert!(start.checked_add(len).is_some_and(|end| end <= buf.len()));
         Trace {
             calendar,
             buf,
             start,
             len,
-            sorted: Arc::new(OnceLock::new()),
         }
     }
 
@@ -179,24 +164,11 @@ impl Trace {
         &self.buf[self.start..self.start + self.len]
     }
 
-    /// A borrowed, lifetime-bound view of this trace (no refcount bump).
-    pub fn view(&self) -> TraceView<'_> {
-        TraceView {
-            calendar: self.calendar,
-            samples: self.samples(),
-        }
-    }
-
     /// Whether `self` and `other` share the same underlying sample buffer
     /// (regardless of window). `Trace::clone` and the windowing methods
     /// preserve sharing; constructors allocate fresh buffers.
     pub fn shares_buffer(&self, other: &Trace) -> bool {
         Arc::ptr_eq(&self.buf, &other.buf)
-    }
-
-    /// Sample at `index`, or `None` past the end.
-    pub fn get(&self, index: usize) -> Option<f64> {
-        self.samples().get(index).copied()
     }
 
     /// Iterator over samples.
@@ -232,61 +204,6 @@ impl Trace {
     /// Largest sample (the paper's `D_max`).
     pub fn peak(&self) -> f64 {
         kernels::peak(self.samples())
-    }
-
-    /// Arithmetic mean of the samples.
-    pub fn mean(&self) -> f64 {
-        stats::mean(self.samples())
-    }
-
-    /// The window's samples in ascending order, sorted once on first use
-    /// and cached (shared across clones of this window).
-    ///
-    /// Every percentile query on the trace reads this view, so repeated
-    /// queries — the QoS translation asks for several percentiles of the
-    /// same demand trace — pay the O(n log n) sort exactly once.
-    pub fn sorted_samples(&self) -> &[f64] {
-        self.sorted.get_or_init(|| kernels::sorted(self.samples()))
-    }
-
-    /// The `q`-th percentile of the samples with linear interpolation
-    /// (the paper's `D_M%` uses `q = M`), answered from the cached
-    /// [`sorted_samples`](Self::sorted_samples) view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 100]`.
-    pub fn percentile(&self, q: f64) -> f64 {
-        stats::percentile_of_sorted(self.sorted_samples(), q)
-    }
-
-    /// The `q`-th percentile with upper nearest-rank semantics: guarantees
-    /// at most `1 − q/100` of samples are strictly greater. This is the
-    /// definition the `M_degr` demand cap must use (see
-    /// [`stats::percentile_upper`]). Answered from the cached
-    /// [`sorted_samples`](Self::sorted_samples) view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 100]`.
-    pub fn percentile_upper(&self, q: f64) -> f64 {
-        stats::percentile_upper_of_sorted(self.sorted_samples(), q)
-    }
-
-    /// Returns a new trace with every sample transformed by `f`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidSample`] if `f` produces a negative or
-    /// non-finite value.
-    pub fn map<F>(&self, f: F) -> Result<Trace, TraceError>
-    where
-        F: FnMut(f64) -> f64,
-    {
-        Trace::from_samples(
-            self.calendar,
-            self.samples().iter().copied().map(f).collect(),
-        )
     }
 
     /// Returns a new trace scaled by a non-negative factor.
@@ -393,25 +310,6 @@ impl Trace {
         Trace::from_samples(self.calendar, samples)
     }
 
-    /// Sums an iterator of aligned traces.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Empty`] when the iterator is empty and
-    /// [`TraceError::Misaligned`] when lengths differ.
-    pub fn sum<'a, I>(traces: I) -> Result<Trace, TraceError>
-    where
-        I: IntoIterator<Item = &'a Trace>,
-    {
-        let mut iter = traces.into_iter();
-        let first = iter.next().ok_or(TraceError::Empty)?;
-        let mut acc = first.clone();
-        for trace in iter {
-            acc = acc.checked_add(trace)?;
-        }
-        Ok(acc)
-    }
-
     /// A new trace holding whole weeks `start..end` (zero-based,
     /// end-exclusive), or `None` when the range is empty or out of range.
     ///
@@ -448,267 +346,12 @@ impl Trace {
         let count = samples.iter().filter(|&&v| v > threshold).count();
         count as f64 / samples.len() as f64
     }
-
-    /// Aggregates consecutive samples into coarser slots by averaging.
-    ///
-    /// `factor` consecutive samples collapse into one (e.g. 12 turns a
-    /// 5-minute trace into an hourly one); the returned trace uses the
-    /// correspondingly coarser calendar. Utilization measurements average
-    /// naturally, which is exactly how monitoring systems roll traces up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidSlotLength`] when the coarser slot
-    /// length does not divide a day, and [`TraceError::Misaligned`] when
-    /// the trace length is not a multiple of `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn downsample(&self, factor: usize) -> Result<Trace, TraceError> {
-        assert!(factor > 0, "factor must be positive");
-        if factor == 1 {
-            return Ok(self.clone());
-        }
-        if !self.len.is_multiple_of(factor) {
-            return Err(TraceError::Misaligned {
-                left: self.len,
-                right: factor,
-            });
-        }
-        let coarse = Calendar::new(self.calendar.slot_minutes() * factor as u32)?;
-        let samples: Vec<f64> = self
-            .samples()
-            .chunks(factor)
-            .map(|chunk| chunk.iter().sum::<f64>() / factor as f64)
-            .collect();
-        Trace::from_samples(coarse, samples)
-    }
-
-    /// Normalizes samples to percentages of the peak (`0..=100`); a zero
-    /// trace stays zero (sharing the buffer — nothing to rescale).
-    pub fn normalized_percent(&self) -> Trace {
-        let peak = self.peak();
-        if peak == 0.0 {
-            return self.clone();
-        }
-        self.map(|v| v / peak * 100.0)
-            // lint:allow(panic-expect): peak > 0 here and samples are
-            // finite non-negative by the Trace invariant, so the map
-            // stays valid.
-            .expect("normalizing finite non-negative samples cannot fail")
-    }
-}
-
-impl AsRef<[f64]> for Trace {
-    fn as_ref(&self) -> &[f64] {
-        self.samples()
-    }
-}
-
-impl<'a> IntoIterator for &'a Trace {
-    type Item = f64;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, f64>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// A borrowed view of trace samples: a calendar plus a sample slice.
-///
-/// `TraceView` is the lifetime-bound companion of [`Trace`]: `Copy`, two
-/// words wide, and allocation-free to window. Layer boundaries that only
-/// *read* samples (aggregation, replay, statistics) accept or produce
-/// views; owning layers hold `Trace`s. Obtain one via [`Trace::view`] or
-/// validate a foreign slice with [`TraceView::new`].
-///
-/// # Example
-///
-/// ```
-/// use ropus_trace::{Calendar, Trace};
-///
-/// # fn main() -> Result<(), ropus_trace::TraceError> {
-/// let trace = Trace::from_samples(Calendar::five_minute(), vec![1.0, 4.0])?;
-/// let view = trace.view();
-/// assert_eq!(view.peak(), 4.0);
-/// assert_eq!(view.to_trace(), trace);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceView<'a> {
-    calendar: Calendar,
-    samples: &'a [f64],
-}
-
-impl<'a> TraceView<'a> {
-    /// Creates a view over a foreign slice, running the same validity
-    /// checks as [`Trace::from_samples`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Empty`] for an empty slice and
-    /// [`TraceError::InvalidSample`] for negative, NaN, or infinite
-    /// samples.
-    pub fn new(calendar: Calendar, samples: &'a [f64]) -> Result<Self, TraceError> {
-        if samples.is_empty() {
-            return Err(TraceError::Empty);
-        }
-        for (index, &value) in samples.iter().enumerate() {
-            if !value.is_finite() || value < 0.0 {
-                return Err(TraceError::InvalidSample { index, value });
-            }
-        }
-        Ok(TraceView { calendar, samples })
-    }
-
-    /// The calendar the samples are aligned to.
-    pub fn calendar(&self) -> Calendar {
-        self.calendar
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the view holds no samples. Always `false` for a constructed
-    /// view; present for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The viewed samples.
-    pub fn samples(&self) -> &'a [f64] {
-        self.samples
-    }
-
-    /// Sample at `index`, or `None` past the end.
-    pub fn get(&self, index: usize) -> Option<f64> {
-        self.samples.get(index).copied()
-    }
-
-    /// Iterator over samples.
-    pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'a, f64>> {
-        self.samples.iter().copied()
-    }
-
-    /// Number of *whole* weeks covered; trailing partial weeks don't count.
-    pub fn weeks(&self) -> usize {
-        self.samples.len() / self.calendar.slots_per_week()
-    }
-
-    /// Checks the view covers a whole number of weeks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::PartialWeek`] otherwise.
-    pub fn require_whole_weeks(&self) -> Result<(), TraceError> {
-        let per_week = self.calendar.slots_per_week();
-        if !self.samples.len().is_multiple_of(per_week) {
-            return Err(TraceError::PartialWeek {
-                len: self.samples.len(),
-                per_week,
-            });
-        }
-        Ok(())
-    }
-
-    /// Largest sample.
-    pub fn peak(&self) -> f64 {
-        kernels::peak(self.samples)
-    }
-
-    /// Arithmetic mean of the samples.
-    pub fn mean(&self) -> f64 {
-        stats::mean(self.samples)
-    }
-
-    /// The `q`-th percentile with linear interpolation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 100]`.
-    pub fn percentile(&self, q: f64) -> f64 {
-        stats::percentile(self.samples, q)
-    }
-
-    /// The `q`-th percentile with upper nearest-rank semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 100]`.
-    pub fn percentile_upper(&self, q: f64) -> f64 {
-        stats::percentile_upper(self.samples, q)
-    }
-
-    /// A sub-view of whole weeks `start..end` (zero-based, end-exclusive),
-    /// or `None` when the range is empty or out of range. Allocation-free.
-    pub fn weeks_range(&self, start: usize, end: usize) -> Option<TraceView<'a>> {
-        if start >= end {
-            return None;
-        }
-        let per_week = self.calendar.slots_per_week();
-        let lo = start.checked_mul(per_week)?;
-        let hi = end.checked_mul(per_week)?;
-        Some(TraceView {
-            calendar: self.calendar,
-            samples: self.samples.get(lo..hi)?,
-        })
-    }
-
-    /// The samples of week `w` (zero-based), or `None` if out of range.
-    pub fn week(&self, w: usize) -> Option<&'a [f64]> {
-        let per_week = self.calendar.slots_per_week();
-        let start = w.checked_mul(per_week)?;
-        let end = start.checked_add(per_week)?;
-        self.samples.get(start..end)
-    }
-
-    /// Fraction of samples strictly greater than `threshold`.
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        let count = self.samples.iter().filter(|&&v| v > threshold).count();
-        count as f64 / self.samples.len() as f64
-    }
-
-    /// Copies the view into an owned [`Trace`] (the one place a view
-    /// allocates).
-    pub fn to_trace(&self) -> Trace {
-        // lint:allow(needless-trace-clone): converting a borrowed view to
-        // an owned trace is this method's documented purpose.
-        Trace::from_samples(self.calendar, self.samples.to_vec())
-            // lint:allow(panic-expect): view samples were validated at
-            // construction (TraceView::new or an existing Trace), so
-            // re-validation cannot fail.
-            .expect("view samples are already validated")
-    }
-}
-
-impl<'a> From<&'a Trace> for TraceView<'a> {
-    fn from(trace: &'a Trace) -> Self {
-        trace.view()
-    }
-}
-
-impl AsRef<[f64]> for TraceView<'_> {
-    fn as_ref(&self) -> &[f64] {
-        self.samples
-    }
-}
-
-impl<'a> IntoIterator for &TraceView<'a> {
-    type Item = f64;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, f64>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats;
 
     fn cal() -> Calendar {
         Calendar::five_minute()
@@ -735,7 +378,6 @@ mod tests {
     fn accepts_zero_samples() {
         let t = Trace::from_samples(cal(), vec![0.0, 0.0]).unwrap();
         assert_eq!(t.peak(), 0.0);
-        assert_eq!(t.normalized_percent().samples(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -773,9 +415,9 @@ mod tests {
     fn peak_mean_percentile() {
         let t = Trace::from_samples(cal(), vec![1.0, 3.0, 2.0, 4.0]).unwrap();
         assert_eq!(t.peak(), 4.0);
-        assert_eq!(t.mean(), 2.5);
-        assert_eq!(t.percentile(100.0), 4.0);
-        assert_eq!(t.percentile(0.0), 1.0);
+        assert_eq!(stats::mean(t.samples()), 2.5);
+        assert_eq!(stats::percentile(t.samples(), 100.0), 4.0);
+        assert_eq!(stats::percentile(t.samples(), 0.0), 1.0);
     }
 
     #[test]
@@ -796,16 +438,6 @@ mod tests {
             a.checked_add(&c),
             Err(TraceError::Misaligned { .. })
         ));
-    }
-
-    #[test]
-    fn sum_of_traces() {
-        let a = Trace::from_samples(cal(), vec![1.0, 2.0]).unwrap();
-        let b = Trace::from_samples(cal(), vec![0.5, 0.5]).unwrap();
-        let s = Trace::sum([&a, &b]).unwrap();
-        assert_eq!(s.samples(), &[1.5, 2.5]);
-        let empty: [&Trace; 0] = [];
-        assert_eq!(Trace::sum(empty), Err(TraceError::Empty));
     }
 
     #[test]
@@ -867,51 +499,11 @@ mod tests {
     }
 
     #[test]
-    fn view_matches_trace() {
-        let per_week = cal().slots_per_week();
-        let samples: Vec<f64> = (0..per_week * 2).map(|i| (i % 7) as f64).collect();
-        let t = Trace::from_samples(cal(), samples).unwrap();
-        let v = t.view();
-        assert_eq!(v.len(), t.len());
-        assert_eq!(v.peak(), t.peak());
-        assert_eq!(v.mean(), t.mean());
-        assert_eq!(v.weeks(), t.weeks());
-        assert_eq!(v.week(1), t.week(1));
-        assert_eq!(v.samples(), t.samples());
-        assert_eq!(v.to_trace(), t);
-        let w = v.weeks_range(1, 2).unwrap();
-        assert_eq!(w.samples(), t.weeks_range(1, 2).unwrap().samples());
-    }
-
-    #[test]
-    fn view_validates_foreign_slices() {
-        assert_eq!(TraceView::new(cal(), &[]), Err(TraceError::Empty));
-        assert!(matches!(
-            TraceView::new(cal(), &[1.0, f64::NAN]),
-            Err(TraceError::InvalidSample { index: 1, .. })
-        ));
-        assert!(matches!(
-            TraceView::new(cal(), &[-1.0]),
-            Err(TraceError::InvalidSample { index: 0, .. })
-        ));
-        let ok = TraceView::new(cal(), &[1.0, 2.0]).unwrap();
-        assert_eq!(ok.samples(), &[1.0, 2.0]);
-    }
-
-    #[test]
     fn fraction_above_counts_strictly() {
         let t = Trace::from_samples(cal(), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(t.fraction_above(2.0), 0.5);
         assert_eq!(t.fraction_above(4.0), 0.0);
         assert_eq!(t.fraction_above(0.0), 1.0);
-        assert_eq!(t.view().fraction_above(2.0), 0.5);
-    }
-
-    #[test]
-    fn normalized_percent_peaks_at_100() {
-        let t = Trace::from_samples(cal(), vec![1.0, 2.0, 4.0]).unwrap();
-        let n = t.normalized_percent();
-        assert_eq!(n.samples(), &[25.0, 50.0, 100.0]);
     }
 
     #[test]
@@ -923,29 +515,5 @@ mod tests {
         // Deserialization re-runs the invariant checks.
         let forged = json.replace("2.0", "-2.0");
         assert!(serde_json::from_str::<Trace>(&forged).is_err());
-    }
-
-    #[test]
-    fn downsample_averages_chunks() {
-        let fine = Trace::from_samples(cal(), vec![1.0, 3.0, 2.0, 4.0, 0.0, 2.0]).unwrap();
-        // 5-minute -> 15-minute slots.
-        let coarse = fine.downsample(3).unwrap();
-        assert_eq!(coarse.samples(), &[2.0, 2.0]);
-        assert_eq!(coarse.calendar().slot_minutes(), 15);
-        // Identity factor shares the buffer.
-        let same = fine.downsample(1).unwrap();
-        assert_eq!(same, fine);
-        assert!(same.shares_buffer(&fine));
-        // Length must divide.
-        assert!(matches!(
-            fine.downsample(4),
-            Err(TraceError::Misaligned { .. })
-        ));
-        // Resulting slot length must divide a day (5 * 7 = 35 does not).
-        let seven = Trace::constant(cal(), 1.0, 7).unwrap();
-        assert!(matches!(
-            seven.downsample(7),
-            Err(TraceError::InvalidSlotLength { .. })
-        ));
     }
 }

@@ -360,8 +360,8 @@ pub fn registry() -> Vec<Rule> {
                       friends): traces share one immutable Arc buffer, so \
                       Trace::clone() and weeks_range() are O(1) while a sample \
                       copy is O(len) per call",
-            hint: "borrow via samples()/view() (TraceView is Copy), clone the \
-                   Trace itself, or window with weeks_range(); a genuine \
+            hint: "borrow the slice from samples(), clone the Trace itself \
+                   (O(1)), or window with weeks_range(); a genuine \
                    ownership hand-off (e.g. sorting for percentiles) may be \
                    justified with lint:allow(needless-trace-clone)",
             exempt_tests: true,
